@@ -164,6 +164,17 @@ def _positive_int(config, key, minimum=1):
     return value
 
 
+def _finite_float(config, key):
+    raw = _require(config, key)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
+
+
 def _resolve_heuristic(kind, config):
     try:
         return Heuristic(
@@ -208,7 +219,7 @@ def _write_meta(config):
 def cmd_estimate(args):
     config = _load_config("estimate", args)
     strategy_name = _require(config, "strategy")
-    phi_true = float(_require(config, "phi_true"))
+    phi_true = _finite_float(config, "phi_true")
     n = _positive_int(config, "n")
     grid_size = _positive_int(config, "grid_size", minimum=2)
     strategy = _resolve_strategy(strategy_name, config)
@@ -257,7 +268,7 @@ def cmd_train_policy(args):
             pso_kwargs[key] = _positive_int(config, key, minimum=0)
     for key in ("omega", "beta1", "alpha2", "velocity_clamp", "init_range"):
         if config.get(key) is not None:
-            pso_kwargs[key] = float(config[key])
+            pso_kwargs[key] = _finite_float(config, key)
     try:
         pso_config = PsoConfig(seed=int(config["seed"]), **pso_kwargs).validate()
     except ValueError as exc:

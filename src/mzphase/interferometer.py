@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import TWO_PI, wrap_phase
-from .rng import normal
+from .rng import box_muller, normal
 
 __all__ = [
     "NoiseChannel",
@@ -51,6 +50,8 @@ class NoiseChannel:
     def __post_init__(self):
         if self.kind not in ("ideal", "depolarizing", "phase"):
             raise ValueError(f"unknown noise channel kind: {self.kind!r}")
+        if not (math.isfinite(self.p) and math.isfinite(self.kappa)):
+            raise ValueError(f"noise parameters must be finite, got p={self.p} kappa={self.kappa}")
         if self.kind == "depolarizing" and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"depolarizing probability p={self.p} outside [0, 1]")
         if self.kind == "phase" and self.kappa < 0.0:
@@ -140,24 +141,31 @@ def sample_outcome(channel, phi, feedback, rng):
     return 0 if rng.random() < p0 else 1
 
 
-def sample_outcomes(channel, phi, feedback, rng):
-    """Vectorized sample_outcome over broadcastable phi/feedback arrays.
+# uniforms per sample and probe; sample_outcomes draws them in this order:
+# the phase kick's u1 and u2, the click, the depolarizing noise and fair coins
+_DRAWS = {"ideal": 1, "depolarizing": 3, "phase": 3}
 
-    Consumes the rng in a different (batched) order than repeated scalar
-    calls; both paths are individually reproducible.
+
+def sample_outcomes(channel, re, im, rngs):
+    """Clicks for rows of phasors e^{i(phi - Phi)}, given as re + i im.
+
+    Row s draws only from rngs[s]: one block of uniforms per draw kind,
+    in the order of _DRAWS. Returns a boolean array, True where outcome
+    1 clicks; without noise p(0) = (1 + re) / 2.
     """
-    phi = np.asarray(phi, dtype=float)
-    feedback = np.asarray(feedback, dtype=float)
-    shape = np.broadcast_shapes(phi.shape, feedback.shape)
+    u = np.empty((len(rngs), _DRAWS[channel.kind], re.shape[-1]))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
     if channel.kind == "phase":
-        feedback = feedback + channel.kappa * normal(rng, shape)
-    c = np.cos((phi - feedback) / 2.0)
-    x = (rng.random(shape) >= c * c).astype(np.int64)
+        # the kick on Phi turns the phasor by e^{-i kick}
+        kick = channel.kappa * box_muller(u[:, 0], u[:, 1])
+        re = re * np.cos(kick) + im * np.sin(kick)
+    click = u[:, 2 if channel.kind == "phase" else 0]
+    clicks = click >= (1.0 + re) / 2.0
     if channel.kind == "depolarizing":
-        noisy = rng.random(shape) < channel.p
-        fair = (rng.random(shape) < 0.5).astype(np.int64)
-        x = np.where(noisy, fair, x)
-    return x
+        noisy = u[:, 1] < channel.p
+        clicks = np.where(noisy, u[:, 2] < 0.5, clicks)
+    return clicks
 
 
 def fisher_information(channel):

@@ -63,6 +63,8 @@ class Policy:
         deltas = np.asarray(self.deltas, dtype=float)
         if deltas.ndim != 1 or deltas.size < 1:
             raise ValueError("policy needs a 1-D array of at least one increment")
+        if not np.all(np.isfinite(deltas)):
+            raise ValueError("policy increments must be finite")
         self.deltas = wrap_signed(deltas)
 
     @property
@@ -109,20 +111,25 @@ def apply_policy_step(policy, prev_feedback, prev_outcome, k):
     return (prev_feedback - sign * policy.deltas[k - 1]) % TWO_PI
 
 
-def _final_feedbacks(deltas, phases, channel, rng):
-    """Vectorized policy runs over an array of true phases; returns Phi_n."""
-    feedback = np.zeros_like(phases)
-    prev = np.zeros(phases.shape, dtype=np.int64)
-    for d in deltas:
-        feedback = feedback - np.where(prev == 0, d, -d)
-        prev = sample_outcomes(channel, phases, feedback, rng)
-    return feedback
+def _sharpness(positions, channel, k_samples, rngs):
+    """Monte Carlo sharpness of each row of positions read as a policy.
 
-
-def _sharpness_of_position(deltas, channel, k_samples, rng):
-    phases = rng.uniform(0.0, TWO_PI, k_samples)
-    finals = _final_feedbacks(deltas, phases, channel, rng)
-    return float(np.abs(np.exp(1j * (phases - finals)).sum()) / k_samples)
+    Row s simulates K runs on rngs[s]: true phases first, then one block
+    of outcome draws per probe. Each sample carries the phasor
+    e^{i(phi - Phi_k)} as re + i im and turns it by e^{+-i d_k} per
+    step, so no angle is recomputed.
+    """
+    phases = np.stack([TWO_PI * rng.random(k_samples) for rng in rngs])
+    re, im = np.cos(phases), np.sin(phases)
+    cos_d = np.cos(positions).T[:, :, None]
+    sin_d = np.sin(positions).T[:, :, None]
+    # Phi_k = Phi_{k-1} - sign d_k with sign = (-1)^{x_{k-1}} and x_0 = 0
+    sign = np.ones_like(re)
+    for c, s in zip(cos_d, sin_d):
+        turn = sign * s
+        re, im = re * c - im * turn, im * c + re * turn
+        sign = 1.0 - 2.0 * sample_outcomes(channel, re, im, rngs)
+    return np.hypot(re.sum(axis=1), im.sum(axis=1)) / k_samples
 
 
 def estimate_sharpness(policy, channel, k_samples, rng):
@@ -134,7 +141,7 @@ def estimate_sharpness(policy, channel, k_samples, rng):
     """
     if k_samples < 1:
         raise ValueError("k_samples must be >= 1")
-    return _sharpness_of_position(policy.deltas, channel, k_samples, rng)
+    return float(_sharpness(policy.deltas[None, :], channel, k_samples, [rng])[0])
 
 
 @dataclass
@@ -214,18 +221,19 @@ def init_swarm(n, config, rng):
 def pso_step(swarm, config, fitness, rng):
     """One swarm iteration, mutating the particles in place.
 
-    fitness(position, rng) is evaluated once per particle on a child
-    generator spawned from rng, so evaluations are independent jobs
-    whose order cannot affect the result. Personal bests keep the
-    fitness value observed at evaluation time.
+    fitness(positions, rngs) scores the stacked positions, one value per
+    particle, where row i draws only from rngs[i], a child generator
+    spawned from rng; rows are therefore independent jobs whose order
+    cannot affect the result. Personal bests keep the fitness value
+    observed at evaluation time.
     """
     if not swarm:
         raise ValueError("empty swarm")
-    evaluation_rngs = rng.spawn(len(swarm))
-    for particle, sub in zip(swarm, evaluation_rngs):
-        observed = fitness(particle.position, sub)
-        if observed > particle.best_fitness:
-            particle.best_fitness = observed
+    positions = np.stack([particle.position for particle in swarm])
+    observed = fitness(positions, rng.spawn(len(swarm)))
+    for particle, value in zip(swarm, observed):
+        if value > particle.best_fitness:
+            particle.best_fitness = float(value)
             particle.best_position = particle.position.copy()
 
     size = len(swarm)
@@ -273,8 +281,8 @@ def train_policy(n, channel=IDEAL, config=None):
     swarm = init_swarm(n, config, master)
     k_samples = config.fitness_samples
 
-    def fitness(position, sub_rng):
-        return _sharpness_of_position(position, channel, k_samples, sub_rng)
+    def fitness(positions, rngs):
+        return _sharpness(positions, channel, k_samples, rngs)
 
     for _ in range(config.iterations):
         pso_step(swarm, config, fitness, master)

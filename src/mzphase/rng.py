@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .circular import TWO_PI
 
 
 def make_generator(entropy):
@@ -26,17 +26,18 @@ def make_generator(entropy):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def normal(rng, size=None):
-    """Standard normal draws via Box-Muller on two uniform variates.
+def normal(rng):
+    """One standard normal draw via Box-Muller on two uniform variates.
 
     Uses 1 - U for the logarithm argument so a uniform draw of exactly
     0.0 cannot produce log(0). The sine partner of each pair is
     discarded; one normal costs two uniforms.
     """
-    if size is None:
-        u1 = 1.0 - rng.random()
-        u2 = rng.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(TWO_PI * u2)
-    u1 = 1.0 - rng.random(size)
-    u2 = rng.random(size)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(TWO_PI * u2)
+    u1 = 1.0 - rng.random()
+    u2 = rng.random()
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(TWO_PI * u2)
+
+
+def box_muller(u1, u2):
+    """Array form of normal() on uniform arrays drawn in the order u1, u2."""
+    return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(TWO_PI * u2)

@@ -90,3 +90,29 @@ def wrapped_normal_weights(phis, mu, sigma, images=6):
     for k in range(-images, images + 1):
         out += np.exp(-0.5 * ((phis - mu + 2.0 * math.pi * k) / sigma) ** 2)
     return out
+
+
+def policy_sharpness_by_angles(deltas, channel, k_samples, rng):
+    """Monte Carlo sharpness of one policy, tracking Phi_k as an angle.
+
+    Recomputes cos^2((phi - Phi_k) / 2) at every probe and draws from rng
+    in the documented order: the true phases, then per probe the phase
+    kick's two uniforms, the click, and the depolarizing noise and fair
+    coins.
+    """
+    phases = rng.uniform(0.0, 2.0 * math.pi, k_samples)
+    feedback = np.zeros(k_samples)
+    clicks = np.zeros(k_samples, dtype=bool)
+    for d in deltas:
+        feedback = feedback - np.where(clicks, -d, d)
+        kicked = feedback
+        if channel.kind == "phase":
+            u1 = 1.0 - rng.random(k_samples)
+            u2 = rng.random(k_samples)
+            kick = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+            kicked = feedback + channel.kappa * kick
+        clicks = rng.random(k_samples) >= np.cos((phases - kicked) / 2.0) ** 2
+        if channel.kind == "depolarizing":
+            noisy = rng.random(k_samples) < channel.p
+            clicks = np.where(noisy, rng.random(k_samples) < 0.5, clicks)
+    return float(np.abs(np.exp(1j * (phases - feedback)).sum()) / k_samples)

@@ -261,3 +261,42 @@ def test_console_entry_point_runs(tmp_path):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_non_finite_channel_is_config_error(tmp_path):
+    for spec in ("phase:nan", "phase:inf"):
+        estimate = run_cli(
+            "estimate", "--strategy", "go", "--phi-true", "1.0", "--n", "3",
+            "--channel", spec, "--out", "est", cwd=tmp_path,
+        )
+        assert estimate.returncode == 2, estimate.stderr
+        train = run_cli(
+            "train-policy", "--n", "3", "--swarm-size", "2", "--iterations", "1",
+            "--fitness-samples", "5", "--channel", spec, "--out", "train", cwd=tmp_path,
+        )
+        assert train.returncode == 2, train.stderr
+
+
+def test_phi_true_must_be_a_finite_number(tmp_path):
+    (tmp_path / "config.json").write_text(
+        json.dumps({"strategy": "go", "phi_true": "x", "n": 3})
+    )
+    from_file = run_cli("estimate", "--config", "config.json", "--out", "a", cwd=tmp_path)
+    assert from_file.returncode == 2, from_file.stderr
+    assert "phi_true" in from_file.stderr
+    for value in ("nan", "inf"):
+        flag = run_cli(
+            "estimate", "--strategy", "go", "--phi-true", value, "--n", "3",
+            "--out", "b", cwd=tmp_path,
+        )
+        assert flag.returncode == 2, flag.stderr
+    assert not (tmp_path / "b" / "run.json").exists()
+
+
+def test_non_finite_policy_file_is_config_error(tmp_path):
+    (tmp_path / "policy.json").write_text('{"n": 2, "deltas": [NaN, 0.1]}')
+    result = run_cli(
+        "estimate", "--strategy", "policy", "--policy-file", "policy.json",
+        "--phi-true", "1.0", "--n", "2", "--out", "out", cwd=tmp_path,
+    )
+    assert result.returncode == 2, result.stderr

@@ -80,6 +80,11 @@ def test_channel_validation():
         NoiseChannel.phase(-0.1)
     with pytest.raises(ValueError):
         NoiseChannel("bogus")
+    for spec in ("phase:nan", "phase:inf", "depolarizing:nan", "depolarizing:-inf"):
+        with pytest.raises(ValueError):
+            NoiseChannel.parse(spec)
+    with pytest.raises(ValueError):
+        NoiseChannel.from_dict({"kind": "ideal", "kappa": math.nan})
 
 
 def test_channel_spec_roundtrip():
@@ -97,7 +102,7 @@ def test_sample_outcome_deterministic_cases():
 def test_sample_outcome_fair_coin_at_full_depolarization():
     rng = make_generator(5)
     channel = NoiseChannel.depolarizing(1.0)
-    draws = sample_outcomes(channel, np.full(10 ** 5, 0.3), np.full(10 ** 5, 0.3), rng)
+    draws = sample_outcomes(channel, np.ones((1, 10 ** 5)), np.zeros((1, 10 ** 5)), [rng])
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
 
 
@@ -114,7 +119,9 @@ def test_empirical_frequencies_match_marginal(channel, phi, fb):
     # 4-sigma binomial tolerance at 1e5 samples
     n = 10 ** 5
     rng = make_generator(6)
-    draws = sample_outcomes(channel, np.full(n, phi), np.full(n, fb), rng)
+    draws = sample_outcomes(
+        channel, np.full((1, n), math.cos(phi - fb)), np.full((1, n), math.sin(phi - fb)), [rng]
+    )
     p0 = noisy_likelihood(channel, 0, phi, fb)
     tol = 4.0 * math.sqrt(p0 * (1 - p0) / n)
     assert abs(np.mean(draws == 0) - p0) < tol

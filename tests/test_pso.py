@@ -16,7 +16,9 @@ from mzphase import (
     pso_step,
     train_policy,
 )
-from mzphase.pso import init_swarm
+from mzphase.pso import _sharpness, init_swarm
+
+from _oracles import policy_sharpness_by_angles
 
 TWO_PI = 2 * math.pi
 
@@ -68,6 +70,15 @@ def test_policy_file_roundtrip(tmp_path):
     assert loaded.seed == 5
 
 
+def test_policy_rejects_non_finite_increments(tmp_path):
+    with pytest.raises(ValueError):
+        Policy(np.array([math.nan, 0.1]))
+    path = tmp_path / "policy.json"
+    path.write_text('{"n": 2, "deltas": [NaN, 0.1]}')
+    with pytest.raises(ValueError):
+        Policy.load(path)
+
+
 def test_estimate_sharpness_range_and_zero_policy():
     rng = make_generator(30)
     zeros = Policy(np.zeros(10))
@@ -115,7 +126,7 @@ def test_pso_step_zero_attraction_moves_by_inertia():
         Particle(np.array([1.0, -2.0]), np.array([0.5, 0.25]), np.array([1.0, -2.0]), 0.5),
         Particle(np.array([0.0, 0.0]), np.array([-0.1, 0.1]), np.array([0.0, 0.0]), 0.5),
     ]
-    pso_step(swarm, config, lambda pos, rng: 0.0, ZeroDrawGenerator())
+    pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), ZeroDrawGenerator())
     assert np.allclose(swarm[0].velocity, [0.5, 0.25])
     assert np.allclose(swarm[0].position, [1.0 + 0.35, -2.0 + 0.175])
     assert np.allclose(swarm[1].position, [-0.07, 0.07])
@@ -129,7 +140,7 @@ def test_pso_step_fixed_point_at_own_best():
     ]
     rng = make_generator(32)
     for _ in range(5):
-        pso_step(swarm, config, lambda pos, r: 0.0, rng)
+        pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), rng)
     assert np.allclose(swarm[0].position, 0.4)
     assert np.allclose(swarm[1].position, 0.4)
 
@@ -143,7 +154,7 @@ def test_pso_step_linear_motion_with_unit_inertia_and_zero_draws():
         Particle(-p0.copy(), -v0.copy(), -p0.copy(), -math.inf),
     ]
     for t in range(1, 6):
-        pso_step(swarm, config, lambda pos, rng: 0.0, ZeroDrawGenerator())
+        pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), ZeroDrawGenerator())
         assert np.allclose(swarm[0].position, p0 + t * v0)
         assert np.allclose(swarm[0].velocity, v0)
 
@@ -155,7 +166,7 @@ def test_pso_step_velocity_clamp():
         Particle(np.array([0.0]), np.zeros(1), np.array([-5.0]), 1.0),
     ]
     rng = make_generator(33)
-    pso_step(swarm, config, lambda pos, r: 0.0, rng)
+    pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), rng)
     for particle in swarm:
         assert np.max(np.abs(particle.velocity)) <= 0.05 + 1e-15
 
@@ -167,8 +178,8 @@ def test_pso_step_personal_best_monotone():
 
     noisy = make_generator(35)
 
-    def jitter_fitness(pos, sub):
-        return float(noisy.random())
+    def jitter_fitness(pos, rngs):
+        return noisy.random(len(pos))
 
     bests = []
     for _ in range(20):
@@ -191,8 +202,8 @@ def test_pso_step_quadratic_bowl_convergence():
     rng = make_generator(1)
     swarm = init_swarm(1, config, rng)
 
-    def fitness(pos, sub):
-        return -float((pos[0] - target) ** 2)
+    def fitness(pos, rngs):
+        return -((pos[:, 0] - target) ** 2)
 
     for _ in range(200):
         pso_step(swarm, config, fitness, rng)
@@ -218,6 +229,48 @@ def test_train_policy_deterministic_and_wrapped():
     assert np.all((a.deltas > -math.pi) & (a.deltas <= math.pi))
     assert a.config["hash"] == b.config["hash"]
     assert a.seed == 7
+
+
+# Recorded from the per-particle evaluator that preceded swarm-batched
+# scoring; pins each child generator's draw order on every channel.
+GOLDEN_TRAINING = {
+    "ideal": (
+        [-0.042224267480844624, 1.1937645462558684, 0.6373782922550046,
+         0.2296758343406733, 0.3172407280301286],
+        0.8695033507685683,
+    ),
+    "depolarizing:0.2": (
+        [-0.6660760920931366, -0.7867852970900913, -0.4106278025059602,
+         -0.8210406934565038, -0.6493645942322961],
+        0.7593790705605027,
+    ),
+    "phase:0.5": (
+        [0.4375312883938771, 0.6500222939625031, 1.1678049363504592,
+         0.3827420562591728, 0.3165865977026545],
+        0.7709079102953883,
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_TRAINING))
+def test_train_policy_matches_golden_training(spec):
+    deltas, sharpness = GOLDEN_TRAINING[spec]
+    config = PsoConfig(swarm_size=6, iterations=15, fitness_samples=50, seed=7)
+    policy = train_policy(5, channel=NoiseChannel.parse(spec), config=config)
+    assert np.allclose(policy.deltas, deltas, rtol=0.0, atol=1e-12)
+    assert policy.sharpness == pytest.approx(sharpness, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.2", "phase:0.5"])
+def test_swarm_sharpness_matches_angle_oracle_row_by_row(spec):
+    # rotating phasors changes rounding only; each row uses only its own
+    # position and generator
+    channel = NoiseChannel.parse(spec)
+    positions = make_generator(41).uniform(-1.5, 1.5, (4, 6))
+    batched = _sharpness(positions, channel, 300, make_generator(42).spawn(4))
+    for row, value, rng in zip(positions, batched, make_generator(42).spawn(4)):
+        expected = policy_sharpness_by_angles(row, channel, 300, rng)
+        assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
 
 
 def test_train_policy_warns_past_soft_limit():
