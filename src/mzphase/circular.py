@@ -25,7 +25,7 @@ def wrap_signed(x):
 def mean_resultant_length(angles):
     """Sharpness |mean(e^{i theta})| of a sample of angles, in [0, 1]."""
     angles = np.asarray(angles, dtype=float)
-    return float(np.abs(np.exp(1j * angles).mean()))
+    return float(abs(np.exp(1j * angles).mean()))
 
 
 def circular_mean(angles):

@@ -21,8 +21,10 @@ import math
 import os
 import secrets
 import sys
+from dataclasses import fields
 
 from .harness import (
+    STRATEGIES,
     reference_curves,
     run_estimation,
     sweep_phases,
@@ -39,75 +41,51 @@ class ConfigError(Exception):
 
 
 # ------------------------------------------------------------------
-# configuration plumbing
+# options: one table per subcommand builds its parser, its allowed config
+# keys and its defaults. A row is (key, type, default, help), the type one
+# of int, float, str, bool (a flag), list (one or more values) or a tuple
+# of choices; a key whose default is None stays unset unless given.
 
-_COMMON_KEYS = {"seed", "out", "threads"}
-_KEYS = {
-    "estimate": _COMMON_KEYS
-    | {
-        "strategy",
-        "phi_true",
-        "n",
-        "channel",
-        "model_channel",
-        "grid_size",
-        "sign_convention",
-        "go_fallback",
-        "policy_file",
-        "snapshots",
-    },
-    "train-policy": _COMMON_KEYS
-    | {
-        "n",
-        "channel",
-        "swarm_size",
-        "iterations",
-        "omega",
-        "beta1",
-        "alpha2",
-        "neighborhood_radius",
-        "fitness_samples",
-        "velocity_clamp",
-        "init_range",
-    },
-    "benchmark": _COMMON_KEYS
-    | {
-        "strategies",
-        "n",
-        "m",
-        "phases",
-        "channels",
-        "model_channel",
-        "grid_size",
-        "sign_convention",
-        "go_fallback",
-        "policy_file",
-    },
-    "plot-data": _COMMON_KEYS | {"inputs", "figure_id"},
-}
-
-_DEFAULTS = {
-    "estimate": {
-        "n": 40,
-        "channel": "ideal",
-        "model_channel": "ideal",
-        "grid_size": DEFAULT_GRID_SIZE,
-        "sign_convention": "alternate",
-        "go_fallback": "real-part",
-        "snapshots": False,
-    },
-    "train-policy": {"channel": "ideal"},
-    "benchmark": {
-        "n": 40,
-        "m": 100,
-        "phases": 20,
-        "channels": ["ideal"],
-        "model_channel": "ideal",
-        "grid_size": DEFAULT_GRID_SIZE,
-        "sign_convention": "alternate",
-        "go_fallback": "real-part",
-    },
-    "plot-data": {},
+_COMMON = (
+    ("seed", int, None, "base RNG seed (drawn and recorded if absent)"),
+    ("out", str, "mzphase-out", "output directory"),
+    ("threads", int, 1, "worker processes for batches"),
+)
+_POSTERIOR = (
+    ("model_channel", str, "ideal", "channel the posterior update assumes"),
+    ("grid_size", int, DEFAULT_GRID_SIZE, "posterior grid points"),
+    ("sign_convention", ("alternate", "random"), "alternate", "sign of the go offset"),
+    ("go_fallback", ("real-part", "pgh"), "real-part", "go rule where sigma > 0.921"),
+    ("policy_file", str, None, "policy.json for the policy strategy"),
+)
+_OPTIONS = {
+    "estimate": _COMMON + (
+        ("strategy", STRATEGIES, None, "feedback strategy"),
+        ("phi_true", float, None, "true phase"),
+        ("n", int, 40, "probes"),
+        ("channel", str, "ideal", "sample channel: ideal, depolarizing:p or phase:kappa"),
+        *_POSTERIOR,
+        ("snapshots", bool, False, "dump per-step posterior CSV snapshots"),
+    ),
+    "train-policy": _COMMON + (
+        ("n", int, None, "policy length"),
+        ("channel", str, "ideal", "training channel"),
+    ) + tuple(
+        (f.name, f.type, None, f"swarm setting (default: {f.default:g})")
+        for f in fields(PsoConfig) if f.name != "seed"
+    ),
+    "benchmark": _COMMON + (
+        ("strategies", str, None, "comma list of " + ",".join(STRATEGIES) + " (default: go)"),
+        ("n", int, 40, "probes per run"),
+        ("m", int, 100, "runs per phase"),
+        ("phases", str, 20, "phase count or comma list of phases"),
+        ("channels", str, ["ideal"], "comma list of channel specs"),
+        *_POSTERIOR,
+    ),
+    "plot-data": _COMMON + (
+        ("inputs", list, None, "run JSONs or benchmark CSVs"),
+        ("figure_id", str, None, "figure id of every output row"),
+    ),
 }
 
 
@@ -123,18 +101,17 @@ def _load_config(command, args):
             raise ConfigError(f"config file is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
-    allowed = _KEYS[command]
+    options = _OPTIONS[command]
+    allowed = {key for key, *_ in options}
     for key in config:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {key!r}")
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None:
-            continue
-        config[key] = value
-    merged = dict(_DEFAULTS[command])
+    # precedence: command line > config file > default
+    merged = {key: default for key, _, default, _ in options if default is not None}
     merged.update(config)
-    merged.setdefault("out", "mzphase-out")
-    merged.setdefault("threads", 1)
+    for key, value in vars(args).items():
+        if key not in ("config", "command") and value is not None:
+            merged[key] = value
     if merged.get("seed") is None:
         merged["seed"] = secrets.randbits(63)
     return merged
@@ -164,8 +141,7 @@ def _positive_int(config, key, minimum=1):
     return value
 
 
-def _finite_float(config, key):
-    raw = _require(config, key)
+def _finite(raw, key):
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -175,29 +151,41 @@ def _finite_float(config, key):
     return value
 
 
-def _resolve_heuristic(kind, config):
-    try:
-        return Heuristic(
-            kind=kind,
-            go_fallback=config["go_fallback"],
-            sign_convention=config["sign_convention"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _phases(config):
+    """A phase count >= 1, or a non-empty list of finite phases.
+
+    Given as a count, a digit string, a single phase, a comma list or a
+    JSON list.
+    """
+    raw = config["phases"]
+    if isinstance(raw, str):
+        raw = int(raw) if raw.isdecimal() else raw.split(",")
+    if isinstance(raw, list) and raw:
+        return [_finite(phase, "phases") for phase in raw]
+    if type(raw) is not int or raw < 1:
+        raise ConfigError(f"phases must be a count >= 1 or a list of phases, got {raw!r}")
+    return raw
 
 
 def _resolve_strategy(name, config):
-    if name in ("go", "pgh"):
-        return _resolve_heuristic(name, config)
+    if name not in STRATEGIES:
+        raise ConfigError(f"unknown strategy: {name!r}")
     if name == "policy":
         path = _require(config, "policy_file")
         try:
             return Policy.load(path)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load policy file {path!r}: {exc}")
-    if name in ("inversion", "bayes-fixed"):
-        return name
-    raise ConfigError(f"unknown strategy: {name!r}")
+    if name in ("go", "pgh"):
+        try:
+            return Heuristic(
+                kind=name,
+                go_fallback=config["go_fallback"],
+                sign_convention=config["sign_convention"],
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+    return name
 
 
 def _out_path(config, *parts):
@@ -217,9 +205,10 @@ def _write_meta(config):
 # commands
 
 def cmd_estimate(args):
+    """run one estimation trajectory"""
     config = _load_config("estimate", args)
     strategy_name = _require(config, "strategy")
-    phi_true = _finite_float(config, "phi_true")
+    phi_true = _finite(_require(config, "phi_true"), "phi_true")
     n = _positive_int(config, "n")
     grid_size = _positive_int(config, "grid_size", minimum=2)
     strategy = _resolve_strategy(strategy_name, config)
@@ -254,21 +243,18 @@ def cmd_estimate(args):
 
 
 def cmd_train_policy(args):
+    """train an offline feedback policy"""
     config = _load_config("train-policy", args)
     n = _positive_int(config, "n")
     channel = _parse_channel(config["channel"], "channel")
     pso_kwargs = {}
-    for key in (
-        "swarm_size",
-        "iterations",
-        "neighborhood_radius",
-        "fitness_samples",
-    ):
-        if config.get(key) is not None:
-            pso_kwargs[key] = _positive_int(config, key, minimum=0)
-    for key in ("omega", "beta1", "alpha2", "velocity_clamp", "init_range"):
-        if config.get(key) is not None:
-            pso_kwargs[key] = _finite_float(config, key)
+    for f in fields(PsoConfig):
+        if f.name != "seed" and config.get(f.name) is not None:
+            pso_kwargs[f.name] = (
+                _positive_int(config, f.name, minimum=0)
+                if f.type is int
+                else _finite(config[f.name], f.name)
+            )
     try:
         pso_config = PsoConfig(seed=int(config["seed"]), **pso_kwargs).validate()
     except ValueError as exc:
@@ -287,6 +273,7 @@ def cmd_train_policy(args):
 
 
 def cmd_benchmark(args):
+    """batch statistics over phases and channels"""
     config = _load_config("benchmark", args)
     strategies = config.get("strategies") or ["go"]
     if isinstance(strategies, str):
@@ -294,14 +281,7 @@ def cmd_benchmark(args):
     n = _positive_int(config, "n")
     m = _positive_int(config, "m", minimum=2)
     grid_size = _positive_int(config, "grid_size", minimum=2)
-    phases = config["phases"]
-    if isinstance(phases, str):
-        if "," in phases:
-            phases = [float(p) for p in phases.split(",")]
-        elif phases.isdigit():
-            phases = int(phases)
-        else:
-            phases = [float(phases)]
+    phases = _phases(config)
     channels = config["channels"]
     if isinstance(channels, str):
         channels = [c.strip() for c in channels.split(",") if c.strip()]
@@ -315,8 +295,6 @@ def cmd_benchmark(args):
     for channel_spec in channels:
         channel = _parse_channel(channel_spec, "channels")
         reference = reference_curves(channel, [n])[0]
-        bound = reference["crb"]
-        sql = reference["sql"]
         for name, strategy in resolved:
             results = sweep_phases(
                 strategy,
@@ -330,42 +308,27 @@ def cmd_benchmark(args):
                 workers=threads,
                 keep_records=False,
             )
+            # columns left out of a row are written empty
+            common = {"strategy": name, "channel": channel.spec(), "n": n,
+                      "sql": reference["sql"], "crb": reference["crb"]}
             for batch in results:
                 stats = batch.stats
-                rows.append(
-                    {
-                        "strategy": name,
-                        "channel": channel.spec(),
-                        "phi_true": batch.phi_true,
-                        "n": n,
-                        "m": stats.m,
-                        "circ_mean": stats.circular_mean,
-                        "sigma_est": stats.sigma_est,
-                        "err_mean": stats.err_mean,
-                        "err_sigma": stats.err_sigma,
-                        "quad_loss": stats.quad_loss,
-                        "sql": sql,
-                        "crb": bound,
-                    }
-                )
-            sigma_avg = sum(b.stats.sigma_est for b in results) / len(results)
-            loss_avg = sum(b.stats.quad_loss for b in results) / len(results)
-            summary.append(
-                {
-                    "strategy": name,
-                    "channel": channel.spec(),
-                    "phi_true": None,
-                    "n": n,
-                    "m": m,
-                    "circ_mean": None,
-                    "sigma_est": sigma_avg,
-                    "err_mean": None,
-                    "err_sigma": None,
-                    "quad_loss": loss_avg,
-                    "sql": sql,
-                    "crb": bound,
-                }
-            )
+                rows.append({
+                    **common,
+                    "phi_true": batch.phi_true,
+                    "m": stats.m,
+                    "circ_mean": stats.circular_mean,
+                    "sigma_est": stats.sigma_est,
+                    "err_mean": stats.err_mean,
+                    "err_sigma": stats.err_sigma,
+                    "quad_loss": stats.quad_loss,
+                })
+            summary.append({
+                **common,
+                "m": m,
+                "sigma_est": sum(b.stats.sigma_est for b in results) / len(results),
+                "quad_loss": sum(b.stats.quad_loss for b in results) / len(results),
+            })
 
     write_batch_csv(_out_path(config, "benchmark.csv"), rows)
     write_batch_csv(_out_path(config, "summary.csv"), summary)
@@ -407,6 +370,7 @@ def _plot_rows_from_batch(path, figure_id):
 
 
 def cmd_plot_data(args):
+    """reshape results into tidy CSV"""
     config = _load_config("plot-data", args)
     inputs = config.get("inputs") or []
     if isinstance(inputs, str):
@@ -443,11 +407,22 @@ def cmd_plot_data(args):
 
 # ------------------------------------------------------------------
 
-def _add_common(parser):
+def _add_options(parser, options):
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--seed", type=int, help="base RNG seed (drawn if absent)")
-    parser.add_argument("--out", help="output directory (default mzphase-out)")
-    parser.add_argument("--threads", type=int, help="worker processes for batches")
+    for key, kind, default, text in options:
+        kwargs = {"dest": key, "help": text}
+        if default is not None:
+            shown = ",".join(default) if isinstance(default, list) else default
+            kwargs["help"] = f"{text} (default: {shown})"
+        if kind is bool:
+            kwargs.update(action="store_const", const=True)
+        elif kind is list:
+            kwargs["nargs"] = "+"
+        elif isinstance(kind, tuple):
+            kwargs["choices"] = kind
+        elif kind is not str:
+            kwargs["type"] = kind
+        parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 def build_parser():
@@ -456,55 +431,8 @@ def build_parser():
         description="Adaptive single-photon phase estimation benchmark",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("estimate", help="run one estimation trajectory")
-    _add_common(p)
-    p.add_argument("--strategy", choices=["go", "pgh", "policy", "inversion", "bayes-fixed"])
-    p.add_argument("--phi-true", dest="phi_true", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--channel")
-    p.add_argument("--model-channel", dest="model_channel")
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--sign-convention", dest="sign_convention",
-                   choices=["alternate", "random"])
-    p.add_argument("--go-fallback", dest="go_fallback", choices=["real-part", "pgh"])
-    p.add_argument("--policy-file", dest="policy_file")
-    p.add_argument("--snapshots", action="store_const", const=True,
-                   help="dump per-step posterior CSV snapshots")
-
-    p = sub.add_parser("train-policy", help="train an offline feedback policy")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--channel")
-    p.add_argument("--swarm-size", dest="swarm_size", type=int)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--beta1", type=float)
-    p.add_argument("--alpha2", type=float)
-    p.add_argument("--neighborhood-radius", dest="neighborhood_radius", type=int)
-    p.add_argument("--fitness-samples", dest="fitness_samples", type=int)
-    p.add_argument("--velocity-clamp", dest="velocity_clamp", type=float)
-    p.add_argument("--init-range", dest="init_range", type=float)
-
-    p = sub.add_parser("benchmark", help="batch statistics over phases and channels")
-    _add_common(p)
-    p.add_argument("--strategies", help="comma list: go,pgh,policy,inversion,bayes-fixed")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--phases", help="phase count or comma list of phases")
-    p.add_argument("--channels", help="comma list of channel specs")
-    p.add_argument("--model-channel", dest="model_channel")
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--sign-convention", dest="sign_convention",
-                   choices=["alternate", "random"])
-    p.add_argument("--go-fallback", dest="go_fallback", choices=["real-part", "pgh"])
-    p.add_argument("--policy-file", dest="policy_file")
-
-    p = sub.add_parser("plot-data", help="reshape results into tidy CSV")
-    _add_common(p)
-    p.add_argument("--inputs", nargs="+", help="run JSONs or benchmark CSVs")
-    p.add_argument("--figure-id", dest="figure_id")
-
+    for command, func in _COMMANDS.items():
+        _add_options(sub.add_parser(command, help=func.__doc__), _OPTIONS[command])
     return parser
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import TWO_PI, wrap_phase, wrap_signed
+from .circular import TWO_PI, holevo_sigma, wrap_phase, wrap_signed
 from .heuristics import Heuristic, next_feedback
 from .interferometer import (
     IDEAL,
@@ -50,7 +50,12 @@ __all__ = [
     "reference_curves",
     "write_batch_csv",
     "BATCH_CSV_COLUMNS",
+    "STRATEGIES",
 ]
+
+
+# every strategy name run_estimation takes; "policy" is given as a Policy
+STRATEGIES = ("go", "pgh", "policy", "inversion", "bayes-fixed")
 
 
 @dataclass
@@ -146,12 +151,7 @@ class BatchStats:
         if m < 2:
             raise ValueError("need at least 2 runs for error bars")
         errors = wrap_signed(estimates - phi_true)
-        resultant = np.exp(1j * errors).mean()
-        s = abs(resultant)
-        if s < 1e-15:
-            sigma = math.inf
-        else:
-            sigma = math.sqrt(max(1.0 / (s * s) - 1.0, 0.0))
+        sigma = holevo_sigma(errors)
         mean_z = np.exp(1j * estimates).mean()
         circ_mean = wrap_phase(math.atan2(mean_z.imag, mean_z.real))
         return cls(
@@ -177,11 +177,9 @@ def _resolve_strategy(strategy):
         return "policy", strategy
     if isinstance(strategy, Heuristic):
         return strategy.kind, strategy
-    if strategy == "go":
-        return "go", Heuristic(kind="go")
-    if strategy == "pgh":
-        return "pgh", Heuristic(kind="pgh")
-    if strategy in ("inversion", "bayes-fixed"):
+    if strategy in ("go", "pgh"):
+        return strategy, Heuristic(kind=strategy)
+    if strategy in STRATEGIES and strategy != "policy":  # a policy is an object
         return strategy, strategy
     raise ValueError(f"unknown strategy: {strategy!r}")
 
@@ -219,20 +217,7 @@ def run_estimation(
     estimates = np.empty(n)
     sigmas = np.full(n, math.nan)
 
-    if label in ("go", "pgh"):
-        grid = PosteriorGrid.uniform(grid_size)
-        for k in range(1, n + 1):
-            fb = next_feedback(resolved, grid, k, rng)
-            x = sample_outcome(sample_channel, phi_true, fb, rng)
-            grid.update(x, fb, model_channel)
-            if snapshot is not None:
-                snapshot(k, grid)
-            summary = grid.gaussian_summary()
-            feedbacks[k - 1] = fb
-            outcomes[k - 1] = x
-            estimates[k - 1] = summary.mu
-            sigmas[k - 1] = summary.sigma
-    elif label == "policy":
+    if label == "policy":
         fb, prev = 0.0, 0
         for k in range(1, n + 1):
             fb = apply_policy_step(resolved, fb, prev, k)
@@ -248,18 +233,18 @@ def run_estimation(
             feedbacks[k - 1] = 0.0
             outcomes[k - 1] = x
             estimates[k - 1] = inversion_estimate(CountSummary(n0, k - n0))
-    else:  # bayes-fixed
-        grid = PosteriorGrid.uniform(grid_size, support=(0.0, math.pi))
+    else:  # posterior strategies; bayes-fixed keeps Phi = 0 on a [0, pi] prior
+        fixed = label == "bayes-fixed"
+        grid = PosteriorGrid.uniform(grid_size, support=(0.0, math.pi) if fixed else None)
         for k in range(1, n + 1):
-            x = sample_outcome(sample_channel, phi_true, 0.0, rng)
-            grid.update(x, 0.0, model_channel)
+            fb = 0.0 if fixed else next_feedback(resolved, grid, k, rng)
+            x = sample_outcome(sample_channel, phi_true, fb, rng)
+            grid.update(x, fb, model_channel)
             if snapshot is not None:
                 snapshot(k, grid)
-            summary = grid.gaussian_summary()
-            feedbacks[k - 1] = 0.0
+            feedbacks[k - 1] = fb
             outcomes[k - 1] = x
-            estimates[k - 1] = summary.mu
-            sigmas[k - 1] = summary.sigma
+            estimates[k - 1], sigmas[k - 1] = grid.gaussian_summary()
 
     return RunRecord(
         phi_true=phi_true,

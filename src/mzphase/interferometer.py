@@ -7,17 +7,17 @@ feedback phase. Detector click probabilities in the noiseless case are
     p(0 | phi; Phi) = cos^2[(phi - Phi) / 2]
     p(1 | phi; Phi) = sin^2[(phi - Phi) / 2]
 
-Two detection noise channels are supported:
+Both detection noise channels lower the fringe visibility v: the click
+law becomes v p(x) + q/2, with q = 1 - v the weight of a fair coin, so
+p(0) = (1 + v cos(phi - Phi)) / 2.
 
 * depolarizing(p): with probability p the click is replaced by a fair
-  coin, giving p_dep(x) = (1 - p) p(x) + p/2;
+  coin, v = 1 - p and q = p;
 * phase(kappa): a Gaussian kick of standard deviation kappa on the
-  feedback phase, whose marginal is
-  p_pha(x) = e^{-kappa^2/2} p(x) + (1 - e^{-kappa^2/2})/2.
+  feedback phase, whose marginal has v = e^{-kappa^2/2}.
 
-The module also carries the per-probe Fisher information of each
-channel, maximized over the phase difference, and the induced
-Cramer-Rao precision bound.
+The per-probe Fisher information, maximized over the phase difference,
+is v^2, and the induced Cramer-Rao bound for n probes is 1/(v sqrt n).
 """
 
 import math
@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 
+# kind -> (its parameter, visibility v, fair-coin weight q) of the fringe
+# v p(x) + q/2. q is p itself for depolarizing noise, since 1 - (1 - p) is
+# not always p; kappa ** 2 would overflow past 1e154, where v is long 0.
+_KINDS = {
+    "ideal": (None, lambda c: 1.0, lambda c: 0.0),
+    "depolarizing": ("p", lambda c: 1.0 - c.p, lambda c: c.p),
+    "phase": ("kappa", lambda c: math.exp(-c.kappa ** 2 / 2.0) if c.kappa < 1e150 else 0.0,
+              lambda c: 1.0 - c.visibility),
+}
+
+
 @dataclass(frozen=True)
 class NoiseChannel:
     """Detection noise model: 'ideal', 'depolarizing' (p) or 'phase' (kappa)."""
@@ -48,7 +59,7 @@ class NoiseChannel:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("ideal", "depolarizing", "phase"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown noise channel kind: {self.kind!r}")
         if not (math.isfinite(self.p) and math.isfinite(self.kappa)):
             raise ValueError(f"noise parameters must be finite, got p={self.p} kappa={self.kappa}")
@@ -69,35 +80,37 @@ class NoiseChannel:
     def phase(cls, kappa):
         return cls("phase", kappa=float(kappa))
 
+    @property
+    def visibility(self):
+        """Fringe visibility v: p_channel(0) = (1 + v cos(phi - Phi)) / 2."""
+        return _KINDS[self.kind][1](self)
+
+    @property
+    def fair_weight(self):
+        """Weight q of the fair coin mixed into the fringe, 1 - v up to rounding."""
+        return _KINDS[self.kind][2](self)
+
     def spec(self):
         """Compact string form, e.g. 'depolarizing:0.25'; inverse of parse()."""
-        if self.kind == "depolarizing":
-            return f"depolarizing:{self.p:g}"
-        if self.kind == "phase":
-            return f"phase:{self.kappa:g}"
-        return "ideal"
+        param = _KINDS[self.kind][0]
+        return f"{self.kind}:{getattr(self, param):g}" if param else self.kind
 
     @classmethod
     def parse(cls, text):
         kind, _, par = text.partition(":")
         kind = kind.strip()
-        if kind == "ideal":
+        if kind not in _KINDS:
+            raise ValueError(f"unknown noise channel kind: {kind!r}")
+        param = _KINDS[kind][0]
+        if param is None:
             if par:
-                raise ValueError("ideal channel takes no parameter")
-            return cls.ideal()
-        if kind == "depolarizing":
-            return cls.depolarizing(float(par))
-        if kind == "phase":
-            return cls.phase(float(par))
-        raise ValueError(f"unknown noise channel kind: {kind!r}")
+                raise ValueError(f"{kind} channel takes no parameter")
+            return cls(kind)
+        return cls(kind, **{param: float(par)})
 
     def to_dict(self):
-        d = {"kind": self.kind}
-        if self.kind == "depolarizing":
-            d["p"] = self.p
-        elif self.kind == "phase":
-            d["kappa"] = self.kappa
-        return d
+        param = _KINDS[self.kind][0]
+        return {"kind": self.kind, param: getattr(self, param)} if param else {"kind": self.kind}
 
     @classmethod
     def from_dict(cls, d):
@@ -115,14 +128,14 @@ def ideal_likelihood(x, phi, feedback):
 
 
 def noisy_likelihood(channel, x, phi, feedback):
-    """Click probability under the given channel."""
+    """Click probability v p(x) + q / 2 under the given channel.
+
+    Without a fair coin (q == 0, so v == 1) this is the ideal array
+    itself, with no further pass over it.
+    """
     p = ideal_likelihood(x, phi, feedback)
-    if channel.kind == "depolarizing":
-        return (1.0 - channel.p) * p + channel.p / 2.0
-    if channel.kind == "phase":
-        damp = math.exp(-channel.kappa ** 2 / 2.0)
-        return damp * p + (1.0 - damp) / 2.0
-    return p
+    q = channel.fair_weight
+    return p if q == 0.0 else channel.visibility * p + q / 2.0
 
 
 def sample_outcome(channel, phi, feedback, rng):
@@ -169,19 +182,17 @@ def sample_outcomes(channel, re, im, rngs):
 
 
 def fisher_information(channel):
-    """Per-probe Fisher information, maximized over the phase difference."""
-    if channel.kind == "depolarizing":
-        return (1.0 - channel.p) ** 2
-    if channel.kind == "phase":
-        return math.exp(-channel.kappa ** 2)
-    return 1.0
+    """Per-probe Fisher information v^2, maximized over the phase difference."""
+    return channel.visibility ** 2
 
 
 def precision_bound(channel, n):
     """Cramer-Rao bound [n * I]^(-1/2) on the phase deviation for n probes.
 
-    For the ideal channel this is the standard quantum limit n^(-1/2).
+    For the ideal channel this is the standard quantum limit n^(-1/2);
+    it is infinite for a channel with no fringe left (v = 0).
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
-    return 1.0 / math.sqrt(n * fisher_information(channel))
+    info = fisher_information(channel)
+    return 1.0 / math.sqrt(n * info) if info > 0.0 else math.inf

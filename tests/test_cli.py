@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mzphase
+from mzphase import cli
 
 # The directory holding the imported mzphase package. Prepending it to the
 # child's PYTHONPATH makes every CLI run use the code under test, from any
@@ -300,3 +303,68 @@ def test_non_finite_policy_file_is_config_error(tmp_path):
         "--phi-true", "1.0", "--n", "2", "--out", "out", cwd=tmp_path,
     )
     assert result.returncode == 2, result.stderr
+
+
+def test_bad_phases_are_config_errors(tmp_path):
+    args = ("benchmark", "--strategies", "inversion", "--n", "3", "--m", "2",
+            "--grid-size", "64", "--out", "out")
+    for phases in ("nan", "x", "0", "0.5,inf", "0.5,,1", ""):
+        result = run_cli(*args, "--phases", phases, cwd=tmp_path)
+        assert result.returncode == 2, (phases, result.stderr)
+        assert "phases" in result.stderr
+    for phases in (2.5, True, [], [0.5, "x"], [None]):
+        (tmp_path / "config.json").write_text(json.dumps({"phases": phases}))
+        result = run_cli(*args, "--config", "config.json", cwd=tmp_path)
+        assert result.returncode == 2, (phases, result.stderr)
+        assert "phases" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# meta.json of each subcommand as recorded before its options moved into
+# one table: the resolved keys, the defaults, and the given values' types
+GOLDEN_META = {
+    "estimate": (
+        ["--strategy", "inversion", "--phi-true", "1.0"],
+        {"channel": "ideal", "go_fallback": "real-part", "grid_size": 131072,
+         "model_channel": "ideal", "n": 40, "phi_true": 1.0,
+         "sign_convention": "alternate", "snapshots": False, "strategy": "inversion"},
+    ),
+    "train-policy": (
+        ["--n", "3", "--swarm-size", "2", "--iterations", "1", "--fitness-samples", "5"],
+        {"channel": "ideal", "fitness_samples": 5, "iterations": 1, "n": 3, "swarm_size": 2},
+    ),
+    "benchmark": (
+        ["--strategies", "inversion"],
+        {"channels": ["ideal"], "go_fallback": "real-part", "grid_size": 131072, "m": 100,
+         "model_channel": "ideal", "n": 40, "phases": 20, "sign_convention": "alternate",
+         "strategies": "inversion"},
+    ),
+    "plot-data": (
+        ["--inputs", "run.json", "--figure-id", "f"],
+        {"figure_id": "f", "inputs": ["run.json"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_META))
+def test_meta_matches_golden(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('{"strategy": "go", "steps": []}')
+    args, resolved = GOLDEN_META[command]
+    assert cli.main([command, *args, "--seed", "3", "--out", "out"]) == 0
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta == {**resolved, "out": "out", "seed": 3, "threads": 1}
+
+
+def test_config_file_overrides_defaults_and_command_line_overrides_both(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"strategy": "inversion", "phi_true": 1.0, "n": 5, "channel": "phase:0.2", "seed": 8}
+    ))
+    assert cli.main(["estimate", "--config", "config.json", "--n", "4", "--out", "out"]) == 0
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert meta["n"] == 4  # command line over config file
+    assert meta["channel"] == "phase:0.2"  # config file over default
+    assert meta["seed"] == 8
+    assert meta["model_channel"] == "ideal"  # default
+    assert len(json.loads((tmp_path / "out" / "run.json").read_text())["steps"]) == 4

@@ -1,0 +1,58 @@
+"""Bit-identity goldens for estimation runs.
+
+``golden_runs.json`` maps ``strategy|channel|phi_true|seed`` to the first
+16 hex digits of the SHA-256 of the run record's JSON form (floats in
+repr, so equal digests mean equal bits), or to ``UndefinedMeanError``
+for a run that raised it. The values were recorded with the noise model
+written per channel kind, before it was expressed through the fringe
+visibility; a refactor of the likelihood, the posterior loop or the
+sampling must reproduce every one of them.
+
+Each run uses the same channel for sampling and as the updater's model,
+30 probes and a 1024-point grid. The one raising case is the pgh
+zero-resultant defect: at step 2 pgh can pick the antipode of the first
+feedback with the same outcome, which cancels the posterior resultant.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mzphase import NoiseChannel, Policy, UndefinedMeanError, run_estimation
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
+POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
+
+
+def _digest(record):
+    blob = json.dumps(record.to_dict(), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_run_record_matches_golden(case):
+    strategy, spec, phi, seed = case.split("|")
+    channel = NoiseChannel.parse(spec)
+    run = dict(
+        phi_true=float(phi),
+        n=30,
+        strategy=POLICY if strategy == "policy" else strategy,
+        sample_channel=channel,
+        model_channel=channel,
+        grid_size=1024,
+        seed=int(seed),
+    )
+    if GOLDEN[case] == "UndefinedMeanError":
+        with pytest.raises(UndefinedMeanError):
+            run_estimation(**run)
+    else:
+        assert _digest(run_estimation(**run)) == GOLDEN[case]
+
+
+def test_golden_covers_every_strategy_and_channel():
+    cases = [case.split("|") for case in GOLDEN]
+    assert {c[0] for c in cases} == {"go", "pgh", "bayes-fixed", "inversion", "policy"}
+    assert {c[1] for c in cases} == {"ideal", "depolarizing:0.1", "phase:0.3"}

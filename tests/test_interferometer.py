@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mzphase import (
     IDEAL,
@@ -159,3 +161,58 @@ def test_precision_bound_values():
     assert precision_bound(PHASE1, 1) == pytest.approx(math.exp(0.5))
     with pytest.raises(ValueError):
         precision_bound(IDEAL, 0)
+
+
+probabilities = st.floats(min_value=0.0, max_value=1.0)
+strengths = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+channels = st.one_of(
+    st.just(IDEAL),
+    probabilities.map(NoiseChannel.depolarizing),
+    strengths.map(NoiseChannel.phase),
+)
+angles = st.floats(min_value=-10.0, max_value=10.0)
+
+
+def _printed(x):
+    """x rounded to what spec() prints: six significant digits."""
+    return float(f"{x:g}")
+
+
+@given(channels)
+def test_channel_round_trips(channel):
+    assert NoiseChannel.from_dict(channel.to_dict()) == channel
+    spec = channel.spec()
+    assert NoiseChannel.parse(spec).spec() == spec
+
+
+@given(st.one_of(
+    st.just(IDEAL),
+    probabilities.map(_printed).map(NoiseChannel.depolarizing),
+    strengths.map(_printed).map(NoiseChannel.phase),
+))
+def test_parse_inverts_spec(channel):
+    assert NoiseChannel.parse(channel.spec()) == channel
+
+
+@given(channels, angles, angles)
+def test_likelihoods_of_both_outcomes_sum_to_one(channel, phi, feedback):
+    total = noisy_likelihood(channel, 0, phi, feedback) + noisy_likelihood(channel, 1, phi, feedback)
+    assert abs(total - 1.0) <= 1e-15
+
+
+@given(channels)
+def test_fisher_information_is_squared_visibility(channel):
+    assert fisher_information(channel) == channel.visibility ** 2
+    closed_form = {
+        "ideal": 1.0,
+        "depolarizing": (1.0 - channel.p) ** 2,
+        "phase": math.exp(-min(channel.kappa, 40.0) ** 2),
+    }[channel.kind]
+    assert math.isclose(fisher_information(channel), closed_form, rel_tol=1e-15, abs_tol=1e-300)
+
+
+def test_fringe_lost_entirely():
+    for channel in (NoiseChannel.depolarizing(1.0), NoiseChannel.phase(1e200)):
+        assert channel.visibility == 0.0
+        assert noisy_likelihood(channel, 0, 0.3, 1.2) == 0.5
+        assert precision_bound(channel, 10) == math.inf
