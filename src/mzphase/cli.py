@@ -131,11 +131,13 @@ def _parse_channel(spec, key):
 
 
 def _positive_int(config, key, minimum=1):
-    value = config.get(key)
+    raw = config.get(key)
     try:
-        value = int(value)
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
+        value = int(raw)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {config.get(key)!r}")
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
     if value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
@@ -228,7 +230,7 @@ def cmd_estimate(args):
         sample_channel=sample_channel,
         model_channel=model_channel,
         grid_size=grid_size,
-        seed=[int(config["seed"])],
+        seed=[_positive_int(config, "seed", minimum=0)],
         snapshot=snapshot,
     )
     record.write_json(_out_path(config, "run.json"))
@@ -255,8 +257,9 @@ def cmd_train_policy(args):
                 if f.type is int
                 else _finite(config[f.name], f.name)
             )
+    seed = _positive_int(config, "seed", minimum=0)
     try:
-        pso_config = PsoConfig(seed=int(config["seed"]), **pso_kwargs).validate()
+        pso_config = PsoConfig(seed=seed, **pso_kwargs).validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -287,7 +290,7 @@ def cmd_benchmark(args):
         channels = [c.strip() for c in channels.split(",") if c.strip()]
     model_channel = _parse_channel(config["model_channel"], "model_channel")
     resolved = [(name, _resolve_strategy(name, config)) for name in strategies]
-    seed = int(config["seed"])
+    seed = _positive_int(config, "seed", minimum=0)
     threads = _positive_int(config, "threads")
 
     rows = []

@@ -91,9 +91,17 @@ class NoiseChannel:
         return _KINDS[self.kind][2](self)
 
     def spec(self):
-        """Compact string form, e.g. 'depolarizing:0.25'; inverse of parse()."""
+        """Compact string form, e.g. 'depolarizing:0.25'; inverse of parse().
+
+        The parameter is printed with six significant digits where that
+        reads back exactly, in full otherwise.
+        """
         param = _KINDS[self.kind][0]
-        return f"{self.kind}:{getattr(self, param):g}" if param else self.kind
+        if param is None:
+            return self.kind
+        value = getattr(self, param)
+        text = f"{value:g}"
+        return f"{self.kind}:{text if float(text) == value else repr(float(value))}"
 
     @classmethod
     def parse(cls, text):
@@ -120,22 +128,31 @@ class NoiseChannel:
 IDEAL = NoiseChannel.ideal()
 
 
-def ideal_likelihood(x, phi, feedback):
-    """Noiseless click probability; phi/feedback may be scalars or arrays."""
-    c = np.cos((phi - feedback) / 2.0)
-    p0 = c * c
-    return p0 if x == 0 else 1.0 - p0
+def ideal_likelihood(x, phi, feedback, out=None):
+    """Noiseless click probability; phi/feedback may be scalars or arrays.
+
+    As for a numpy ufunc, out is an array to write the result into, and
+    every intermediate goes there too; without it a new one is returned.
+    """
+    c = np.subtract(phi, feedback, out=out)
+    c = np.divide(c, 2.0, out=out)
+    c = np.cos(c, out=out)
+    p0 = np.multiply(c, c, out=out)
+    return p0 if x == 0 else np.subtract(1.0, p0, out=out)
 
 
-def noisy_likelihood(channel, x, phi, feedback):
-    """Click probability v p(x) + q / 2 under the given channel.
+def noisy_likelihood(channel, x, phi, feedback, out=None):
+    """Click probability v p(x) + q / 2 under the given channel, into out
+    as for ideal_likelihood.
 
     Without a fair coin (q == 0, so v == 1) this is the ideal array
     itself, with no further pass over it.
     """
-    p = ideal_likelihood(x, phi, feedback)
+    p = ideal_likelihood(x, phi, feedback, out=out)
     q = channel.fair_weight
-    return p if q == 0.0 else channel.visibility * p + q / 2.0
+    if q == 0.0:
+        return p
+    return np.add(np.multiply(channel.visibility, p, out=out), q / 2.0, out=out)
 
 
 def sample_outcome(channel, phi, feedback, rng):

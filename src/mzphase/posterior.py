@@ -7,6 +7,14 @@ that appear here the sums converge spectrally fast.
 
 The default grid size is 2**17, chosen for fidelity runs; tests and
 quick scans can use much smaller grids.
+
+A grid owns one scratch array of its size. An update evaluates the
+likelihood into it over the index span of the support only (half the
+grid for a [0, pi] prior), so weights outside the span stay exactly
++0.0 and the likelihood allocates nothing; the normalising sum still
+runs over every weight. The PGH draw builds its cumulative sum in the
+same array. The resultant is computed once per update and kept until
+the next, so the summaries taken between two updates share it.
 """
 
 import math
@@ -21,6 +29,9 @@ from .interferometer import IDEAL, noisy_likelihood
 DEFAULT_GRID_SIZE = 2 ** 17
 
 _RESULTANT_EPS = 1e-12
+
+# entries of the cumulative sum built per step of PosteriorGrid.sample
+_CDF_BLOCK = 8192
 
 
 class DegeneratePosteriorError(Exception):
@@ -54,9 +65,10 @@ def _grid_arrays(grid_size):
 
 class PosteriorGrid:
     """Probability weights over the phase grid, optionally restricted to
-    a closed sub-interval of [0, 2*pi)."""
+    a closed sub-interval of [0, 2*pi). Only update changes the
+    weights, since the resultant is kept from one update to the next."""
 
-    __slots__ = ("weights", "support")
+    __slots__ = ("weights", "support", "_span", "_scratch", "_resultant")
 
     def __init__(self, weights, support=None):
         weights = np.asarray(weights, dtype=float)
@@ -69,6 +81,9 @@ class PosteriorGrid:
             raise DegeneratePosteriorError("weights sum to zero")
         self.weights = weights / total
         self.support = support
+        self._span = slice(0, weights.size)
+        self._scratch = np.empty_like(self.weights)
+        self._resultant = None
 
     @classmethod
     def uniform(cls, grid_size=DEFAULT_GRID_SIZE, support=None):
@@ -76,16 +91,23 @@ class PosteriorGrid:
         [lo, hi] when support is given."""
         if grid_size < 2:
             raise ValueError(f"grid size must be >= 2, got {grid_size}")
-        phis, _ = _grid_arrays(grid_size)
         if support is None:
             return cls(np.full(grid_size, 1.0 / grid_size))
         lo, hi = support
         if not 0.0 <= lo < hi:
             raise ValueError(f"invalid support interval [{lo}, {hi}]")
-        inside = (phis >= lo - 1e-12) & (phis <= hi + 1e-12)
-        if not inside.any():
+        phis, _ = _grid_arrays(grid_size)
+        span = slice(
+            int(np.searchsorted(phis, lo - 1e-12, side="left")),
+            int(np.searchsorted(phis, hi + 1e-12, side="right")),
+        )
+        if span.start >= span.stop:
             raise ValueError(f"support [{lo}, {hi}] contains no grid point")
-        return cls(np.where(inside, 1.0, 0.0), support=(lo, hi))
+        weights = np.zeros(grid_size)
+        weights[span] = 1.0
+        grid = cls(weights, support=(lo, hi))
+        grid._span = span
+        return grid
 
     @property
     def grid_size(self):
@@ -99,6 +121,9 @@ class PosteriorGrid:
         g = PosteriorGrid.__new__(PosteriorGrid)
         g.weights = self.weights.copy()
         g.support = self.support
+        g._span = self._span
+        g._scratch = np.empty_like(self._scratch)
+        g._resultant = self._resultant
         return g
 
     def update(self, outcome, feedback, channel=IDEAL):
@@ -108,8 +133,12 @@ class PosteriorGrid:
         default it to the ideal channel even when the samples come from
         a noisy one, so the protocol stays noise-unaware unless asked.
         """
-        phis, _ = _grid_arrays(self.grid_size)
-        self.weights *= noisy_likelihood(channel, outcome, phis, feedback)
+        span = self._span
+        inside = self.weights[span]
+        inside *= noisy_likelihood(
+            channel, outcome, self.phis[span], feedback, out=self._scratch[span]
+        )
+        self._resultant = None
         total = self.weights.sum()
         if total <= 0.0:
             raise DegeneratePosteriorError(
@@ -119,16 +148,21 @@ class PosteriorGrid:
         return self
 
     def resultant(self):
-        """Complex mean resultant sum(w_j e^{i phi_j})."""
+        """Complex mean resultant sum(w_j e^{i phi_j}), kept until the
+        next update."""
         _, phasors = _grid_arrays(self.grid_size)
-        return complex(np.dot(self.weights, phasors))
+        self._resultant = complex(np.dot(self.weights, phasors))
+        return self._resultant
+
+    def _kept_resultant(self):
+        return self.resultant() if self._resultant is None else self._resultant
 
     def sharpness(self):
         """|sum w_j e^{i phi_j}|, 1 for a point mass, 0 when fully spread."""
-        return abs(self.resultant())
+        return abs(self._kept_resultant())
 
     def circular_mean(self):
-        z = self.resultant()
+        z = self._kept_resultant()
         if abs(z) < _RESULTANT_EPS:
             raise UndefinedMeanError("zero resultant vector")
         return wrap_phase(math.atan2(z.imag, z.real))
@@ -142,7 +176,7 @@ class PosteriorGrid:
     def gaussian_summary(self):
         """(mu, sigma) with mu the circular mean and sigma^2 the Holevo
         variance; for narrow posteriors this matches a Gaussian fit."""
-        z = self.resultant()
+        z = self._kept_resultant()
         r = abs(z)
         if r < _RESULTANT_EPS:
             raise UndefinedMeanError("zero resultant vector")
@@ -151,11 +185,25 @@ class PosteriorGrid:
         return GaussianSummary(mu, sigma)
 
     def sample(self, rng):
-        """Draw a grid point with probability equal to its weight."""
-        cdf = np.cumsum(self.weights)
-        idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        if idx >= self.grid_size:
-            idx = self.grid_size - 1
+        """Draw a grid point with probability equal to its weight.
+
+        The cumulative sum is built block by block, each block seeded
+        with the running total, up to the first block that passes the
+        draw. cumsum adds strictly in sequence, so the index is the one
+        the full cumulative sum gives, clamped to the last point.
+        """
+        u = rng.random()
+        idx = self.grid_size - 1
+        total = 0.0
+        for start in range(0, self.grid_size, _CDF_BLOCK):
+            cdf = self._scratch[start:start + _CDF_BLOCK]
+            cdf[:] = self.weights[start:start + _CDF_BLOCK]
+            cdf[0] += total
+            np.cumsum(cdf, out=cdf)
+            total = cdf[-1]
+            if total > u:
+                idx = start + int(np.searchsorted(cdf, u, side="right"))
+                break
         return float(self.phis[idx])
 
     def dump_csv(self, path):

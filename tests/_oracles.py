@@ -116,3 +116,10 @@ def policy_sharpness_by_angles(deltas, channel, k_samples, rng):
             noisy = rng.random(k_samples) < channel.p
             clicks = np.where(noisy, rng.random(k_samples) < 0.5, clicks)
     return float(np.abs(np.exp(1j * (phases - feedback)).sum()) / k_samples)
+
+
+def cdf_draw_index(weights, u):
+    """Grid index a draw u picks from the full cumulative sum of weights:
+    the first entry above u, clamped to the last index."""
+    idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+    return min(idx, len(weights) - 1)

@@ -320,6 +320,24 @@ def test_bad_phases_are_config_errors(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_integer_settings_must_be_integral(tmp_path):
+    cases = [
+        ("estimate", {"strategy": "inversion", "phi_true": 1.0}, "n", (2.5, True)),
+        ("estimate", {"strategy": "go", "phi_true": 1.0, "n": 2}, "grid_size", (64.5, False)),
+        ("estimate", {"strategy": "inversion", "phi_true": 1.0, "n": 2}, "seed", (7.5, True)),
+        ("benchmark", {"strategies": "inversion", "n": 2, "phases": 1}, "m", (2.5, True)),
+        ("benchmark", {"strategies": "inversion", "n": 2, "m": 2, "phases": 1}, "threads", (1.5, True)),
+        ("train-policy", {"n": 2, "iterations": 1, "fitness_samples": 5}, "swarm_size", (2.5, True)),
+    ]
+    for command, base, key, values in cases:
+        for value in values:
+            (tmp_path / "config.json").write_text(json.dumps({**base, key: value}))
+            result = run_cli(command, "--config", "config.json", "--out", "out", cwd=tmp_path)
+            assert result.returncode == 2, (key, value, result.stderr)
+            assert key in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # meta.json of each subcommand as recorded before its options moved into
 # one table: the resolved keys, the defaults, and the given values' types
 GOLDEN_META = {

@@ -52,6 +52,30 @@ def test_run_record_matches_golden(case):
         assert _digest(run_estimation(**run)) == GOLDEN[case]
 
 
+# go, pgh and bayes-fixed at the default 2**17 grid (phi_true 1.0, seed 0),
+# where the PGH cumulative sum spans several blocks; recorded before the
+# posterior step kept its resultant and wrote its likelihood in place
+GOLDEN_DEFAULT_GRID = {
+    "go|ideal": "0b4b9ffce75350fc",
+    "go|depolarizing:0.1": "2c345a54950bf39f",
+    "go|phase:0.3": "1c005e3da404b9a0",
+    "pgh|ideal": "6b1c3835131ddd99",
+    "pgh|depolarizing:0.1": "437448c2d39cb63f",
+    "pgh|phase:0.3": "37fbc7e31c993afb",
+    "bayes-fixed|ideal": "d2830827026e58c8",
+    "bayes-fixed|depolarizing:0.1": "c70f7537f2da44a6",
+    "bayes-fixed|phase:0.3": "3604f0f79dc6929c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DEFAULT_GRID))
+def test_default_grid_run_matches_golden(case):
+    strategy, spec = case.split("|")
+    channel = NoiseChannel.parse(spec)
+    record = run_estimation(1.0, 30, strategy, sample_channel=channel, model_channel=channel, seed=0)
+    assert _digest(record) == GOLDEN_DEFAULT_GRID[case]
+
+
 def test_golden_covers_every_strategy_and_channel():
     cases = [case.split("|") for case in GOLDEN]
     assert {c[0] for c in cases} == {"go", "pgh", "bayes-fixed", "inversion", "policy"}

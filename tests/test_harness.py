@@ -11,6 +11,7 @@ from mzphase import (
     Heuristic,
     NoiseChannel,
     Policy,
+    PosteriorGrid,
     PsoConfig,
     RunRecord,
     batch_stats_at_step,
@@ -47,6 +48,19 @@ def test_run_estimation_is_deterministic_and_serializable(tmp_path):
     assert path.read_bytes() == (tmp_path / "run2.json").read_bytes()
     loaded = RunRecord.from_dict(json.loads(path.read_text()))
     assert loaded.to_dict() == a.to_dict()
+
+
+@pytest.mark.parametrize("grid_size", [1024, 2 ** 17])
+def test_go_takes_one_resultant_per_probe_step(grid_size, monkeypatch):
+    calls = []
+    resultant = PosteriorGrid.resultant
+    monkeypatch.setattr(PosteriorGrid, "resultant", lambda self: calls.append(1) or resultant(self))
+    seen = []
+    run_estimation(1.0, 10, "go", grid_size=grid_size, seed=3,
+                   snapshot=lambda k, grid: seen.append(len(calls)))
+    # one for the flat prior; then the step-k summary and the step-k+1 rule share one
+    assert seen == list(range(1, 11))
+    assert len(calls) == 11
 
 
 def test_single_probe_posterior_matches_single_likelihood():

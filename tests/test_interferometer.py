@@ -173,11 +173,6 @@ channels = st.one_of(
 angles = st.floats(min_value=-10.0, max_value=10.0)
 
 
-def _printed(x):
-    """x rounded to what spec() prints: six significant digits."""
-    return float(f"{x:g}")
-
-
 @given(channels)
 def test_channel_round_trips(channel):
     assert NoiseChannel.from_dict(channel.to_dict()) == channel
@@ -185,13 +180,30 @@ def test_channel_round_trips(channel):
     assert NoiseChannel.parse(spec).spec() == spec
 
 
-@given(st.one_of(
-    st.just(IDEAL),
-    probabilities.map(_printed).map(NoiseChannel.depolarizing),
-    strengths.map(_printed).map(NoiseChannel.phase),
-))
+@given(channels)
 def test_parse_inverts_spec(channel):
     assert NoiseChannel.parse(channel.spec()) == channel
+
+
+def test_spec_is_short_where_that_is_exact():
+    for spec in ("ideal", "depolarizing:0.1", "phase:0.3", "phase:1", "depolarizing:0.1234567"):
+        assert NoiseChannel.parse(spec).spec() == spec
+    assert NoiseChannel.depolarizing(0.1 + 0.2).spec() == "depolarizing:0.30000000000000004"
+
+
+@pytest.mark.parametrize("channel", [IDEAL, DEP25, NoiseChannel.phase(0.4)])
+def test_likelihood_writes_into_out(channel):
+    phis = np.linspace(0.0, 7.0, 101)
+    for x in (0, 1):
+        out = np.empty_like(phis)
+        result = noisy_likelihood(channel, x, phis, 1.3, out=out)
+        assert result is out
+        assert np.array_equal(out, noisy_likelihood(channel, x, phis, 1.3))
+        assert np.array_equal(
+            [noisy_likelihood(channel, x, float(phi), 1.3) for phi in phis], out
+        )
+    out = np.empty_like(phis)
+    assert ideal_likelihood(1, phis, 0.2, out=out) is out
 
 
 @given(channels, angles, angles)

@@ -15,7 +15,9 @@ from mzphase import (
     wrap_phase,
 )
 
-from _oracles import wrapped_normal_weights
+from mzphase.posterior import _CDF_BLOCK
+
+from _oracles import cdf_draw_index, wrapped_normal_weights
 
 TWO_PI = 2 * math.pi
 
@@ -233,6 +235,67 @@ def test_truncated_support_stays_zero_after_updates():
     for fb in (0.3, 1.1, 2.0):
         grid.update(0, fb)
         assert np.all(grid.weights[outside] == 0.0)
+
+
+class FixedDraw:
+    """Stands in for a generator whose next uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "grid_size",
+    [1000, _CDF_BLOCK - 1, _CDF_BLOCK, _CDF_BLOCK + 1, 2 * _CDF_BLOCK, 3 * _CDF_BLOCK + 5],
+)
+def test_sample_matches_full_cdf_oracle(grid_size):
+    rng = make_generator(17)
+    weights = rng.random(grid_size) ** 4
+    weights[rng.random(grid_size) < 0.05] = 0.0
+    # zeros after each block boundary tie its last CDF value to the next block's first ones
+    for edge in range(_CDF_BLOCK, grid_size, _CDF_BLOCK):
+        weights[edge:edge + 3] = 0.0
+    grid = PosteriorGrid(weights)
+    cdf = np.cumsum(grid.weights)
+    draws = [0.0, float(np.nextafter(cdf[-1], 2.0)), 1.0 - 2.0 ** -53, *rng.random(20)]
+    for edge in [*range(_CDF_BLOCK, grid_size, _CDF_BLOCK), grid_size]:
+        at = cdf[edge - 1]
+        draws += [float(np.nextafter(at, -1.0)), float(at), float(np.nextafter(at, 2.0))]
+    for u in draws:
+        assert grid.sample(FixedDraw(u)) == grid.phis[cdf_draw_index(grid.weights, u)], u
+
+
+@pytest.mark.parametrize("channel", [IDEAL, NoiseChannel.depolarizing(0.1), NoiseChannel.phase(0.3)])
+@pytest.mark.parametrize("support", [None, (0.0, math.pi), (1.0, 2.5)])
+def test_update_keeps_the_bits_of_the_full_grid_product(channel, support):
+    rng = make_generator(18)
+    grid = PosteriorGrid.uniform(4096, support=support)
+    weights = grid.weights.copy()
+    for _ in range(12):
+        x, fb = int(rng.integers(2)), float(rng.uniform(0, TWO_PI))
+        grid.update(x, fb, channel)
+        weights = weights * noisy_likelihood(channel, x, grid.phis, fb)
+        weights /= weights.sum()
+        assert np.array_equal(grid.weights, weights)
+        assert not np.signbit(grid.weights).any()
+
+
+def test_summaries_share_one_resultant_per_update(monkeypatch):
+    calls = []
+    resultant = PosteriorGrid.resultant
+    monkeypatch.setattr(PosteriorGrid, "resultant", lambda self: calls.append(1) or resultant(self))
+    grid = PosteriorGrid.uniform(256).update(0, 0.4)
+    grid.gaussian_summary(), grid.circular_mean(), grid.sharpness(), grid.holevo_variance()
+    assert grid.copy().sharpness() == grid.sharpness()
+    assert len(calls) == 1
+    grid.update(1, 2.0)
+    mu, _ = grid.gaussian_summary()
+    assert len(calls) == 2
+    z = resultant(grid)
+    assert mu == wrap_phase(math.atan2(z.imag, z.real))
 
 
 def test_dump_csv(tmp_path):
