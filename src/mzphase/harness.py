@@ -34,7 +34,7 @@ from .interferometer import (
     sample_outcome,
 )
 from .nonadaptive import CountSummary, inversion_estimate
-from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid
+from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid, UndefinedMeanError
 from .pso import Policy, apply_policy_step
 from .rng import make_generator
 
@@ -64,7 +64,8 @@ class RunRecord:
 
     sigmas holds the per-step posterior deviation for Bayesian
     strategies and NaN where no single-run uncertainty exists (policy
-    and inversion strategies).
+    and inversion strategies, and a Bayesian step whose posterior has a
+    zero resultant, which repeats the previous step's estimate).
     """
 
     phi_true: float
@@ -200,6 +201,12 @@ def run_estimation(
     sample_channel (noise-unaware operation). snapshot, if given, is
     called as snapshot(k, grid) after each posterior update of a
     Bayesian strategy.
+
+    A posterior whose resultant is zero has no circular mean (at step 2
+    pgh can redraw Phi_1 with the opposite outcome, or its antipode with
+    the same one, leaving sin^2(phi - Phi_1)): that step records
+    the previous step's estimate (the feedback at step 1) and a NaN
+    sigma, and the next probe breaks the symmetry.
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
@@ -244,7 +251,10 @@ def run_estimation(
                 snapshot(k, grid)
             feedbacks[k - 1] = fb
             outcomes[k - 1] = x
-            estimates[k - 1], sigmas[k - 1] = grid.gaussian_summary()
+            try:
+                estimates[k - 1], sigmas[k - 1] = grid.gaussian_summary()
+            except UndefinedMeanError:  # zero resultant: keep the last estimate
+                estimates[k - 1] = estimates[k - 2] if k > 1 else fb
 
     return RunRecord(
         phi_true=phi_true,

@@ -135,7 +135,7 @@ def ideal_likelihood(x, phi, feedback, out=None):
     every intermediate goes there too; without it a new one is returned.
     """
     c = np.subtract(phi, feedback, out=out)
-    c = np.divide(c, 2.0, out=out)
+    c = np.multiply(c, 0.5, out=out)
     c = np.cos(c, out=out)
     p0 = np.multiply(c, c, out=out)
     return p0 if x == 0 else np.subtract(1.0, p0, out=out)

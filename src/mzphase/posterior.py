@@ -10,11 +10,24 @@ quick scans can use much smaller grids.
 
 A grid owns one scratch array of its size. An update evaluates the
 likelihood into it over the index span of the support only (half the
-grid for a [0, pi] prior), so weights outside the span stay exactly
-+0.0 and the likelihood allocates nothing; the normalising sum still
-runs over every weight. The PGH draw builds its cumulative sum in the
-same array. The resultant is computed once per update and kept until
-the next, so the summaries taken between two updates share it.
+grid for a [0, pi] prior) and divides by the total over that span only,
+so weights outside it stay exactly +0.0 (0.0 / total is +0.0) and the
+likelihood allocates nothing. The normalising sum still runs over every
+weight, because its pairwise order depends on the length. The PGH draw
+builds its cumulative sum in the same array.
+
+An update that repeats the feedback and channel of the one before it
+evaluates the likelihood of its outcome into an array of its own and
+keeps it; while that key stands, later updates multiply the kept array
+in, and a new feedback or channel drops it. The same ufuncs on the same
+inputs give the same array, so no bit changes. Only a repeated feedback
+keeps anything, at most one span-sized array per outcome: bayes-fixed's
+Phi = 0 at every probe, and on a coarse grid the odd pgh or go step
+(pgh drawing the same point twice in a row). Any other update pays one
+key comparison.
+
+The resultant is computed once per update and kept until the next, so
+the summaries taken between two updates share it.
 """
 
 import math
@@ -68,7 +81,7 @@ class PosteriorGrid:
     a closed sub-interval of [0, 2*pi). Only update changes the
     weights, since the resultant is kept from one update to the next."""
 
-    __slots__ = ("weights", "support", "_span", "_scratch", "_resultant")
+    __slots__ = ("weights", "support", "_span", "_scratch", "_resultant", "_key", "_kept")
 
     def __init__(self, weights, support=None):
         weights = np.asarray(weights, dtype=float)
@@ -84,6 +97,8 @@ class PosteriorGrid:
         self._span = slice(0, weights.size)
         self._scratch = np.empty_like(self.weights)
         self._resultant = None
+        self._key = None  # (feedback, channel) of the last update
+        self._kept = {}  # outcome == 0 -> its likelihood under self._key
 
     @classmethod
     def uniform(cls, grid_size=DEFAULT_GRID_SIZE, support=None):
@@ -118,12 +133,14 @@ class PosteriorGrid:
         return _grid_arrays(self.grid_size)[0]
 
     def copy(self):
+        """An independent grid with the same weights; it keeps no likelihood."""
         g = PosteriorGrid.__new__(PosteriorGrid)
         g.weights = self.weights.copy()
         g.support = self.support
         g._span = self._span
         g._scratch = np.empty_like(self._scratch)
         g._resultant = self._resultant
+        g._key, g._kept = None, {}
         return g
 
     def update(self, outcome, feedback, channel=IDEAL):
@@ -133,18 +150,28 @@ class PosteriorGrid:
         default it to the ideal channel even when the samples come from
         a noisy one, so the protocol stays noise-unaware unless asked.
         """
-        span = self._span
+        span, key = self._span, (feedback, channel)
+        if key != self._key:  # a new key keeps nothing until it repeats
+            self._key, self._kept = key, {}
+            like = noisy_likelihood(
+                channel, outcome, self.phis[span], feedback, out=self._scratch[span]
+            )
+        else:
+            like = self._kept.get(outcome == 0)
+            if like is None:
+                out = np.empty(span.stop - span.start)
+                like = self._kept[outcome == 0] = noisy_likelihood(
+                    channel, outcome, self.phis[span], feedback, out=out
+                )
         inside = self.weights[span]
-        inside *= noisy_likelihood(
-            channel, outcome, self.phis[span], feedback, out=self._scratch[span]
-        )
+        inside *= like
         self._resultant = None
         total = self.weights.sum()
         if total <= 0.0:
             raise DegeneratePosteriorError(
                 "posterior vanished: likelihood is zero across the support"
             )
-        self.weights /= total
+        inside /= total
         return self
 
     def resultant(self):

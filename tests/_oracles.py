@@ -5,8 +5,28 @@ dense grids, finite differences, and direct formula evaluation.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
+
+
+@lru_cache(maxsize=None)
+def _quadrature_window(sigma, width, points):
+    """Abscissae phi, phi^2, their spacings and the normalised N(0, sigma^2)
+    prior, shared by every offset of one sigma."""
+    half_width = max(width * sigma, 2.0)
+    phi = np.linspace(-half_width, half_width, points)
+    prior = np.exp(-0.5 * (phi / sigma) ** 2)
+    prior /= np.trapezoid(prior, phi)
+    arrays = phi, phi * phi, np.diff(phi), prior
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _trapezoid(y, spacings):
+    """np.trapezoid(y, phi) with the spacings of phi given: the same ops."""
+    return (spacings * (y[1:] + y[:-1]) / 2.0).sum()
 
 
 def expected_posterior_variance(offset, sigma, width=14.0, points=40001):
@@ -16,23 +36,18 @@ def expected_posterior_variance(offset, sigma, width=14.0, points=40001):
     Integrates over the real line (window wide enough that the Gaussian
     tail mass is negligible), computing sum_x P(x) Var(phi | x).
     """
-    half_width = max(width * sigma, 2.0)
-    phi = np.linspace(-half_width, half_width, points)
-    prior = np.exp(-0.5 * (phi / sigma) ** 2)
-    prior /= np.trapezoid(prior, phi)
+    phi, phi2, spacings, prior = _quadrature_window(sigma, width, points)
+    half = (phi - offset) / 2.0
     total = 0.0
-    for outcome in (0, 1):
-        if outcome == 0:
-            like = np.cos((phi - offset) / 2.0) ** 2
-        else:
-            like = np.sin((phi - offset) / 2.0) ** 2
-        joint = like * prior
-        p_x = np.trapezoid(joint, phi)
+    for posterior in (np.cos(half), np.sin(half)):
+        posterior *= posterior  # the click likelihood
+        posterior *= prior  # the joint density
+        p_x = _trapezoid(posterior, spacings)
         if p_x < 1e-300:
             continue
-        posterior = joint / p_x
-        m1 = np.trapezoid(phi * posterior, phi)
-        m2 = np.trapezoid(phi * phi * posterior, phi)
+        posterior /= p_x
+        m1 = _trapezoid(phi * posterior, spacings)
+        m2 = _trapezoid(phi2 * posterior, spacings)
         total += p_x * (m2 - m1 * m1)
     return total
 

@@ -76,6 +76,21 @@ def test_estimate_is_idempotent(tmp_path):
     ).read_bytes()
 
 
+def test_pgh_zero_resultant_step_keeps_the_last_estimate(tmp_path):
+    # step 2 draws the antipode of Phi_1 with the same outcome: the posterior
+    # sin^2(phi - Phi_1) has a zero resultant and no mean
+    result = run_cli(
+        "estimate", "--strategy", "pgh", "--phi-true", "1.0", "--n", "2",
+        "--grid-size", "1024", "--seed", "1111", "--out", "out",
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    steps = json.loads((tmp_path / "out" / "run.json").read_text())["steps"]
+    assert steps[1]["sigma"] is None
+    assert steps[1]["estimate"] == steps[0]["estimate"]
+    assert "sigma_est=n/a" in result.stdout
+
+
 def test_estimate_snapshots(tmp_path):
     result = run_cli(
         "estimate", "--strategy", "go", "--phi-true", "0.5", "--n", "3",

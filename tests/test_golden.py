@@ -2,16 +2,18 @@
 
 ``golden_runs.json`` maps ``strategy|channel|phi_true|seed`` to the first
 16 hex digits of the SHA-256 of the run record's JSON form (floats in
-repr, so equal digests mean equal bits), or to ``UndefinedMeanError``
-for a run that raised it. The values were recorded with the noise model
-written per channel kind, before it was expressed through the fringe
-visibility; a refactor of the likelihood, the posterior loop or the
-sampling must reproduce every one of them.
+repr, so equal digests mean equal bits). The values were recorded with
+the noise model written per channel kind, before it was expressed
+through the fringe visibility; a refactor of the likelihood, the
+posterior loop or the sampling must reproduce every one of them.
 
 Each run uses the same channel for sampling and as the updater's model,
-30 probes and a 1024-point grid. The one raising case is the pgh
-zero-resultant defect: at step 2 pgh can pick the antipode of the first
-feedback with the same outcome, which cancels the posterior resultant.
+30 probes and a 1024-point grid. ``pgh|ideal|1.0|1111`` hits a zero
+resultant: at step 2 pgh picks the antipode of the first feedback with
+the same outcome, which cancels the posterior resultant, so that step
+repeats the step-1 estimate with a null sigma. It raised
+``UndefinedMeanError`` before zero resultants were handled; every other
+digest predates that.
 """
 
 import hashlib
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzphase import NoiseChannel, Policy, UndefinedMeanError, run_estimation
+from mzphase import NoiseChannel, Policy, run_estimation
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
 POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
@@ -45,11 +47,7 @@ def test_run_record_matches_golden(case):
         grid_size=1024,
         seed=int(seed),
     )
-    if GOLDEN[case] == "UndefinedMeanError":
-        with pytest.raises(UndefinedMeanError):
-            run_estimation(**run)
-    else:
-        assert _digest(run_estimation(**run)) == GOLDEN[case]
+    assert _digest(run_estimation(**run)) == GOLDEN[case]
 
 
 # go, pgh and bayes-fixed at the default 2**17 grid (phi_true 1.0, seed 0),

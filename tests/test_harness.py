@@ -23,6 +23,7 @@ from mzphase import (
     train_policy,
     wrap_signed,
 )
+from mzphase import posterior
 from mzphase.harness import write_batch_csv
 
 GRID = 1024
@@ -61,6 +62,29 @@ def test_go_takes_one_resultant_per_probe_step(grid_size, monkeypatch):
     # one for the flat prior; then the step-k summary and the step-k+1 rule share one
     assert seen == list(range(1, 11))
     assert len(calls) == 11
+
+
+def _count_likelihood_calls(monkeypatch):
+    calls = []
+    likelihood = posterior.noisy_likelihood
+    monkeypatch.setattr(
+        posterior, "noisy_likelihood", lambda *a, **k: calls.append(1) or likelihood(*a, **k)
+    )
+    return calls
+
+
+def test_bayes_fixed_evaluates_the_likelihood_once_per_outcome(monkeypatch):
+    calls = _count_likelihood_calls(monkeypatch)
+    record = run_estimation(1.0, 30, "bayes-fixed", grid_size=GRID, seed=6)
+    assert set(record.outcomes[1:]) == {0, 1}
+    # the first probe, then each outcome once Phi = 0 has repeated
+    assert len(calls) == 3
+
+
+def test_go_evaluates_the_likelihood_every_probe(monkeypatch):
+    calls = _count_likelihood_calls(monkeypatch)
+    run_estimation(1.0, 30, "go", grid_size=GRID, seed=6)
+    assert len(calls) == 30
 
 
 def test_single_probe_posterior_matches_single_likelihood():

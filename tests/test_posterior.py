@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzphase import (
     IDEAL,
@@ -281,6 +283,63 @@ def test_update_keeps_the_bits_of_the_full_grid_product(channel, support):
         weights /= weights.sum()
         assert np.array_equal(grid.weights, weights)
         assert not np.signbit(grid.weights).any()
+
+
+@pytest.mark.parametrize("support", [None, (0.0, math.pi), (1.0, 2.5)])
+def test_repeated_updates_keep_the_bits_of_the_full_grid_product(support):
+    # (outcome, feedback, channel) repeats while the outcome and the channel
+    # switch between repeats, so a kept likelihood must match all three
+    depolarizing = NoiseChannel.depolarizing(0.1)
+    steps = [
+        (0, 0.0, IDEAL), (0, 0.0, IDEAL), (1, 0.0, IDEAL), (0, 0.0, IDEAL),
+        (0, 0.0, depolarizing), (0, 0.0, depolarizing), (1, 0.0, depolarizing),
+        (1, 0.0, IDEAL), (0, 0.0, depolarizing), (0, 1.3, IDEAL), (0, 1.3, IDEAL),
+        (1, 1.3, IDEAL), (0, 0.0, IDEAL), (0, 0.0, IDEAL), (1, 0.0, IDEAL),
+    ]
+    grid = PosteriorGrid.uniform(4096, support=support)
+    weights = grid.weights.copy()
+    for x, fb, channel in steps:
+        grid.update(x, fb, channel)
+        weights = weights * noisy_likelihood(channel, x, grid.phis, fb)
+        weights /= weights.sum()
+        assert np.array_equal(grid.weights, weights), (x, fb, channel)
+        assert not np.signbit(grid.weights).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([None, (0.0, math.pi), (1.0, 2.5)]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.one_of(st.sampled_from([0.0, 1.3]), st.floats(0.0, TWO_PI)),
+            st.sampled_from([IDEAL, NoiseChannel.depolarizing(0.1), NoiseChannel.phase(0.3)]),
+        ),
+        max_size=40,
+    ),
+)
+def test_updates_keep_the_weights_a_distribution_on_the_support(support, steps):
+    grid = PosteriorGrid.uniform(1024, support=support)
+    outside = grid.weights == 0.0
+    for x, fb, channel in steps:
+        try:
+            grid.update(x, fb, channel)
+        except DegeneratePosteriorError:
+            return
+        assert not np.signbit(grid.weights).any()
+        assert np.all(grid.weights[outside] == 0.0)
+        assert abs(grid.weights.sum() - 1.0) <= 1e-15
+
+
+def test_copy_updates_like_the_original():
+    grid = PosteriorGrid.uniform(256, support=(0.0, math.pi))
+    for x in (0, 0, 1):
+        grid.update(x, 0.0)
+    twin = grid.copy()
+    for x in (1, 0, 0):
+        grid.update(x, 0.0)
+        twin.update(x, 0.0)
+    assert np.array_equal(twin.weights, grid.weights)
 
 
 def test_summaries_share_one_resultant_per_update(monkeypatch):
