@@ -38,7 +38,7 @@ from .interferometer import (
     sample_outcome,
     sample_outcomes,
 )
-from .nonadaptive import CountSummary, fixed_phase_bayes, inversion_estimate
+from .nonadaptive import CountSummary, inversion_estimate
 from .posterior import (
     DEFAULT_GRID_SIZE,
     DegeneratePosteriorError,
@@ -48,7 +48,6 @@ from .posterior import (
     UndefinedMeanError,
 )
 from .pso import (
-    Particle,
     Policy,
     PsoConfig,
     apply_policy_step,

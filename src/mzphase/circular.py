@@ -28,19 +28,6 @@ def mean_resultant_length(angles):
     return float(abs(np.exp(1j * angles).mean()))
 
 
-def circular_mean(angles):
-    """Direction of the sample resultant vector, wrapped to [0, 2*pi).
-
-    Raises ValueError when the resultant length is numerically zero and
-    no direction is defined.
-    """
-    angles = np.asarray(angles, dtype=float)
-    z = np.exp(1j * angles).mean()
-    if abs(z) < 1e-12:
-        raise ValueError("circular mean undefined: zero resultant vector")
-    return wrap_phase(math.atan2(z.imag, z.real))
-
-
 def holevo_sigma(angles):
     """Square root of the Holevo variance S^-2 - 1 of a sample of angles.
 

@@ -1,15 +1,13 @@
 """Non-adaptive baseline estimators on the half interval [0, pi].
 
 On [0, pi] the phase-to-likelihood map is one-to-one, so estimation
-without feedback is possible: a frequency-inversion estimator and a
-fixed-feedback Bayesian estimator with the prior truncated to [0, pi].
+without feedback is possible: a frequency-inversion estimator here, and
+the fixed-feedback Bayesian estimator with the prior truncated to
+[0, pi], which is the harness's bayes-fixed strategy.
 """
 
 import math
 from dataclasses import dataclass
-
-from .interferometer import IDEAL
-from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid
 
 
 @dataclass(frozen=True)
@@ -29,11 +27,6 @@ class CountSummary:
     def total(self):
         return self.n0 + self.n1
 
-    @classmethod
-    def from_outcomes(cls, outcomes):
-        n0 = sum(1 for x in outcomes if x == 0)
-        return cls(n0, len(outcomes) - n0)
-
 
 def inversion_estimate(counts):
     """Invert cos^2(phi/2) = N0/N; result clamped to [0, pi].
@@ -44,18 +37,3 @@ def inversion_estimate(counts):
     ratio = counts.n0 / counts.total
     est = 2.0 * math.acos(math.sqrt(ratio))
     return min(max(est, 0.0), math.pi)
-
-
-def fixed_phase_bayes(outcomes, channel_model=IDEAL, grid_size=DEFAULT_GRID_SIZE):
-    """Bayesian estimate with feedback held at 0 and prior truncated to [0, pi].
-
-    Returns (estimate, grid); the grid keeps full-circle geometry with
-    zero weight outside the support.
-    """
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise ValueError("need at least one outcome")
-    grid = PosteriorGrid.uniform(grid_size, support=(0.0, math.pi))
-    for x in outcomes:
-        grid.update(x, 0.0, channel_model)
-    return grid.circular_mean(), grid

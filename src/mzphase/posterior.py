@@ -81,9 +81,9 @@ class PosteriorGrid:
     a closed sub-interval of [0, 2*pi). Only update changes the
     weights, since the resultant is kept from one update to the next."""
 
-    __slots__ = ("weights", "support", "_span", "_scratch", "_resultant", "_key", "_kept")
+    __slots__ = ("weights", "_span", "_scratch", "_resultant", "_key", "_kept")
 
-    def __init__(self, weights, support=None):
+    def __init__(self, weights):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or weights.size < 2:
             raise ValueError("weights must be a 1-D array with at least 2 entries")
@@ -93,7 +93,6 @@ class PosteriorGrid:
         if total <= 0.0:
             raise DegeneratePosteriorError("weights sum to zero")
         self.weights = weights / total
-        self.support = support
         self._span = slice(0, weights.size)
         self._scratch = np.empty_like(self.weights)
         self._resultant = None
@@ -120,7 +119,7 @@ class PosteriorGrid:
             raise ValueError(f"support [{lo}, {hi}] contains no grid point")
         weights = np.zeros(grid_size)
         weights[span] = 1.0
-        grid = cls(weights, support=(lo, hi))
+        grid = cls(weights)
         grid._span = span
         return grid
 
@@ -136,7 +135,6 @@ class PosteriorGrid:
         """An independent grid with the same weights; it keeps no likelihood."""
         g = PosteriorGrid.__new__(PosteriorGrid)
         g.weights = self.weights.copy()
-        g.support = self.support
         g._span = self._span
         g._scratch = np.empty_like(self._scratch)
         g._resultant = self._resultant

@@ -38,7 +38,6 @@ from .rng import make_generator
 __all__ = [
     "Policy",
     "PsoConfig",
-    "Particle",
     "apply_policy_step",
     "estimate_sharpness",
     "pso_step",
@@ -166,6 +165,11 @@ class PsoConfig:
     seed: int = 0
 
     def validate(self):
+        settings = (self.omega, self.beta1, self.alpha2, self.velocity_clamp, self.init_range)
+        if not all(map(math.isfinite, settings)):
+            raise ValueError(
+                "omega, beta1, alpha2, velocity_clamp and init_range must be finite"
+            )
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.iterations < 1:
@@ -200,64 +204,41 @@ class PsoConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass
-class Particle:
-    """Swarm member: position and velocity in R^n plus the personal best."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float = -math.inf
-
-
-def init_swarm(n, config, rng):
-    particles = []
-    for _ in range(config.swarm_size):
-        pos = rng.uniform(-config.init_range, config.init_range, n)
-        particles.append(Particle(pos, np.zeros(n), pos.copy()))
-    return particles
-
-
 def pso_step(swarm, config, fitness, rng):
-    """One swarm iteration, mutating the particles in place.
+    """One swarm iteration, updating the record array swarm in place.
 
-    fitness(positions, rngs) scores the stacked positions, one value per
+    swarm holds one row per particle, with fields position, velocity
+    and best_position of length n and best_fitness. fitness(positions,
+    rngs) scores a contiguous copy of the positions, one value per
     particle, where row i draws only from rngs[i], a child generator
     spawned from rng; rows are therefore independent jobs whose order
     cannot affect the result. Personal bests keep the fitness value
     observed at evaluation time.
     """
-    if not swarm:
-        raise ValueError("empty swarm")
-    positions = np.stack([particle.position for particle in swarm])
-    observed = fitness(positions, rng.spawn(len(swarm)))
-    for particle, value in zip(swarm, observed):
-        if value > particle.best_fitness:
-            particle.best_fitness = float(value)
-            particle.best_position = particle.position.copy()
-
     size = len(swarm)
-    radius = min(config.neighborhood_radius, size // 2)
-    local_bests = []
-    for i in range(size):
-        best = swarm[i]
-        for d in range(-radius, radius + 1):
-            cand = swarm[(i + d) % size]
-            if cand.best_fitness > best.best_fitness:
-                best = cand
-        local_bests.append(best.best_position)
+    if size == 0:
+        raise ValueError("empty swarm")
+    observed = fitness(swarm.position.copy(), rng.spawn(size))
+    better = observed > swarm.best_fitness
+    swarm.best_fitness[better] = observed[better]
+    swarm.best_position[better] = swarm.position[better]
 
-    clamp = config.velocity_clamp
-    for particle, lbest in zip(swarm, local_bests):
-        xi1 = rng.random(particle.position.size)
-        xi2 = rng.random(particle.position.size)
-        particle.velocity = (
-            config.beta1 * xi1 * (particle.best_position - particle.position)
-            + config.alpha2 * xi2 * (lbest - particle.position)
-            + particle.velocity
-        )
-        np.clip(particle.velocity, -clamp, clamp, out=particle.velocity)
-        particle.position = config.omega * particle.velocity + particle.position
+    # ring offsets with the particle's own index first: argmax keeps the
+    # first of tied bests, so a tie never moves lbest off the particle
+    radius = min(config.neighborhood_radius, size // 2)
+    ring = (np.arange(size)[:, None] + np.r_[0, -radius:0, 1:radius + 1]) % size
+    winner = np.argmax(swarm.best_fitness[ring], axis=1)
+    lbest = swarm.best_position[ring[np.arange(size), winner]]
+
+    # xi[i] holds particle i's xi1 then xi2, the stream's particle-by-particle order
+    xi = rng.random((size, 2, swarm.position.shape[1]))
+    velocity = (
+        config.beta1 * xi[:, 0] * (swarm.best_position - swarm.position)
+        + config.alpha2 * xi[:, 1] * (lbest - swarm.position)
+        + swarm.velocity
+    )
+    swarm.velocity = np.clip(velocity, -config.velocity_clamp, config.velocity_clamp)
+    swarm.position = config.omega * swarm.velocity + swarm.position
 
 
 def train_policy(n, channel=IDEAL, config=None):
@@ -278,7 +259,16 @@ def train_policy(n, channel=IDEAL, config=None):
         )
 
     master = make_generator([config.seed, 0])
-    swarm = init_swarm(n, config, master)
+    position = master.uniform(-config.init_range, config.init_range, (config.swarm_size, n))
+    swarm = np.rec.fromarrays(
+        [position, np.zeros_like(position), position, np.full(config.swarm_size, -math.inf)],
+        dtype=[
+            ("position", float, (n,)),
+            ("velocity", float, (n,)),
+            ("best_position", float, (n,)),
+            ("best_fitness", float),
+        ],
+    )
     k_samples = config.fitness_samples
 
     def fitness(positions, rngs):
@@ -287,11 +277,11 @@ def train_policy(n, channel=IDEAL, config=None):
     for _ in range(config.iterations):
         pso_step(swarm, config, fitness, master)
 
-    best = max(swarm, key=lambda p: p.best_fitness)
+    best = int(np.argmax(swarm.best_fitness))
     return Policy(
-        best.best_position,
+        swarm.best_position[best].copy(),
         channel=channel,
         config={"hash": config.digest(), **config.to_dict()},
-        sharpness=best.best_fitness,
+        sharpness=float(swarm.best_fitness[best]),
         seed=config.seed,
     )

@@ -138,3 +138,44 @@ def cdf_draw_index(weights, u):
     the first entry above u, clamped to the last index."""
     idx = int(np.searchsorted(np.cumsum(weights), u, side="right"))
     return min(idx, len(weights) - 1)
+
+
+def pso_step_per_particle(particles, config, fitness, rng):
+    """One swarm iteration over a list of particles, one particle at a time.
+
+    Each particle carries position, velocity and best_position arrays
+    and a best_fitness float, updated in place. This is the loop form of
+    the update: personal bests by strict >, the ring's local best by a
+    strict-> scan from the particle itself over offsets -r..r, then xi1
+    and xi2 drawn per particle. The array update in mzphase.pso must
+    match it bit for bit.
+    """
+    positions = np.stack([particle.position for particle in particles])
+    observed = fitness(positions, rng.spawn(len(particles)))
+    for particle, value in zip(particles, observed):
+        if value > particle.best_fitness:
+            particle.best_fitness = float(value)
+            particle.best_position = particle.position.copy()
+
+    size = len(particles)
+    radius = min(config.neighborhood_radius, size // 2)
+    local_bests = []
+    for i in range(size):
+        best = particles[i]
+        for d in range(-radius, radius + 1):
+            cand = particles[(i + d) % size]
+            if cand.best_fitness > best.best_fitness:
+                best = cand
+        local_bests.append(best.best_position)
+
+    clamp = config.velocity_clamp
+    for particle, lbest in zip(particles, local_bests):
+        xi1 = rng.random(particle.position.size)
+        xi2 = rng.random(particle.position.size)
+        particle.velocity = (
+            config.beta1 * xi1 * (particle.best_position - particle.position)
+            + config.alpha2 * xi2 * (lbest - particle.position)
+            + particle.velocity
+        )
+        np.clip(particle.velocity, -clamp, clamp, out=particle.velocity)
+        particle.position = config.omega * particle.velocity + particle.position

@@ -1,4 +1,4 @@
-"""Bit-identity goldens for estimation runs.
+"""Bit-identity goldens for estimation runs and policy training.
 
 ``golden_runs.json`` maps ``strategy|channel|phi_true|seed`` to the first
 16 hex digits of the SHA-256 of the run record's JSON form (floats in
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzphase import NoiseChannel, Policy, run_estimation
+from mzphase import NoiseChannel, Policy, PsoConfig, run_estimation, train_policy
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
 POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
@@ -78,3 +78,71 @@ def test_golden_covers_every_strategy_and_channel():
     cases = [case.split("|") for case in GOLDEN]
     assert {c[0] for c in cases} == {"go", "pgh", "bayes-fixed", "inversion", "policy"}
     assert {c[1] for c in cases} == {"ideal", "depolarizing:0.1", "phase:0.3"}
+
+
+# Trained policies as float.hex, recorded while the swarm was a list of
+# particle objects updated one at a time; the array update must keep
+# every bit. Seed 1 trains a swarm of 8 with radius 2, seed 4 a swarm of
+# 6 with radius 5, clipped to 3, so both ring ends reach the same
+# neighbour.
+GOLDEN_TRAINING_HEX = {
+    "ideal|1": (
+        [
+            "-0x1.0b8d987b3eb0cp-1", "-0x1.8227c5e2a0a1cp-1", "0x1.87aa0ad2973b8p+0",
+            "0x1.b1bac26eb3a88p-1", "0x1.894c90630db3cp-1", "0x1.7ba539fb8bf48p-2",
+        ],
+        "0x1.acade0d9260b7p-1",
+    ),
+    "ideal|4": (
+        [
+            "0x1.87764f9a917c0p-1", "-0x1.55f4cbad6e998p-2", "0x1.9e190d014a7b3p+0",
+            "0x1.2c22760a9ea00p-2", "0x1.c8725a92a3138p-2", "0x1.1337d8e411440p-2",
+        ],
+        "0x1.b50b00532844ap-1",
+    ),
+    "depolarizing:0.2|1": (
+        [
+            "-0x1.c3334bf0b3920p-2", "0x1.83d75f0637b20p-1", "-0x1.434454141c3e8p-1",
+            "-0x1.ddb135f840990p-3", "-0x1.2771af0eeae3cp+0", "-0x1.f18d982705178p-2",
+        ],
+        "0x1.41599dd082c11p-1",
+    ),
+    "depolarizing:0.2|4": (
+        [
+            "0x1.0632acb28b128p-2", "0x1.3affc2bc95bd0p-1", "0x1.310cca2925cd4p+0",
+            "0x1.0c3a136e17b88p-2", "0x1.83bec0555e610p-1", "0x1.65fbb96cc70c0p-2",
+        ],
+        "0x1.7fc68eefb4084p-1",
+    ),
+    "phase:0.5|1": (
+        [
+            "0x1.02ed6e795acc0p-3", "-0x1.7750b53505488p-2", "0x1.faf7778fa1598p-1",
+            "0x1.aa70a3451fd30p-1", "-0x1.590ffd0c462c0p-5", "0x1.9bd24c621cdacp-1",
+        ],
+        "0x1.6f7594911df53p-1",
+    ),
+    "phase:0.5|4": (
+        [
+            "-0x1.d60c3d3cbca00p-6", "0x1.45f2446ed6100p-2", "0x1.3117df9cde45cp+0",
+            "0x1.5ffb8a6e90210p-2", "0x1.902c0096e3e50p-1", "0x1.8eaee6adf4c90p-2",
+        ],
+        "0x1.9c36edf1cb9c1p-1",
+    ),
+}
+TRAINING_SHAPES = {
+    1: dict(swarm_size=8, neighborhood_radius=2),
+    4: dict(swarm_size=6, neighborhood_radius=5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRAINING_HEX))
+def test_train_policy_matches_golden_training_bits(case):
+    spec, seed = case.split("|")
+    config = PsoConfig(
+        iterations=30, fitness_samples=200, seed=int(seed), **TRAINING_SHAPES[int(seed)]
+    )
+    policy = train_policy(6, channel=NoiseChannel.parse(spec), config=config)
+    deltas, sharpness = GOLDEN_TRAINING_HEX[case]
+    assert [float(d).hex() for d in policy.deltas] == deltas
+    assert type(policy.sharpness) is float
+    assert policy.sharpness.hex() == sharpness

@@ -7,9 +7,10 @@ from mzphase import (
     IDEAL,
     CountSummary,
     NoiseChannel,
-    fixed_phase_bayes,
+    PosteriorGrid,
     inversion_estimate,
     make_generator,
+    run_estimation,
     sample_outcome,
 )
 
@@ -30,8 +31,6 @@ def test_count_summary_validation():
         CountSummary(0, 0)
     with pytest.raises(ValueError):
         CountSummary(-1, 5)
-    counts = CountSummary.from_outcomes([0, 1, 0, 0])
-    assert (counts.n0, counts.n1) == (3, 1)
 
 
 def simulate_counts(phi_true, n, channel, rng):
@@ -39,21 +38,30 @@ def simulate_counts(phi_true, n, channel, rng):
     return CountSummary(n0, n - n0)
 
 
+def fixed_phase_posterior(outcomes, grid_size):
+    """Posterior of the bayes-fixed strategy: a [0, pi] prior updated
+    with the feedback held at 0."""
+    grid = PosteriorGrid.uniform(grid_size, support=(0.0, math.pi))
+    for x in outcomes:
+        grid.update(x, 0.0)
+    return grid
+
+
 def test_fixed_phase_bayes_concentrates_at_endpoints():
-    est0, grid = fixed_phase_bayes([0] * 50, grid_size=4096)
-    assert est0 < 0.3
+    grid = fixed_phase_posterior([0] * 50, grid_size=4096)
+    assert grid.circular_mean() < 0.3
     assert abs(grid.weights.sum() - 1.0) < 1e-10
-    est1, _ = fixed_phase_bayes([1] * 50, grid_size=4096)
+    est1 = fixed_phase_posterior([1] * 50, grid_size=4096).circular_mean()
     assert est1 > math.pi - 0.3
 
 
 def test_fixed_phase_bayes_rejects_empty():
     with pytest.raises(ValueError):
-        fixed_phase_bayes([])
+        run_estimation(1.0, 0, "bayes-fixed", grid_size=64)
 
 
 def test_fixed_phase_bayes_support_restriction():
-    _, grid = fixed_phase_bayes([0, 1, 0], grid_size=512)
+    grid = fixed_phase_posterior([0, 1, 0], grid_size=512)
     outside = grid.phis > math.pi + 1e-9
     assert np.all(grid.weights[outside] == 0.0)
 
@@ -73,7 +81,7 @@ def test_quadratic_loss_decreases_with_probe_count(phi_true):
                 sample_outcome(IDEAL, phi_true, 0.0, make_generator([51, n, i, k]))
                 for k in range(n)
             ]
-            est, _ = fixed_phase_bayes(outcomes, grid_size=1024)
+            est = fixed_phase_posterior(outcomes, grid_size=1024).circular_mean()
             losses_bay.append((est - phi_true) ** 2)
         medians[n] = (np.median(losses_inv), np.median(losses_bay))
     assert medians[160][0] < medians[40][0] < medians[10][0]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from mzphase import (
     IDEAL,
     NoiseChannel,
-    Particle,
     Policy,
     PsoConfig,
     apply_policy_step,
@@ -16,11 +16,32 @@ from mzphase import (
     pso_step,
     train_policy,
 )
-from mzphase.pso import _sharpness, init_swarm
+from mzphase.pso import _sharpness
 
-from _oracles import policy_sharpness_by_angles
+from _oracles import policy_sharpness_by_angles, pso_step_per_particle
 
 TWO_PI = 2 * math.pi
+
+
+def make_swarm(positions, velocities=None, best_positions=None, best_fitness=-math.inf):
+    """Swarm record array as train_policy builds it; the personal bests
+    default to the positions with fitness -inf, the velocities to 0."""
+    positions = np.array(positions, dtype=float)
+    size, n = positions.shape
+    return np.rec.fromarrays(
+        [
+            positions,
+            np.zeros((size, n)) if velocities is None else np.array(velocities, dtype=float),
+            positions if best_positions is None else np.array(best_positions, dtype=float),
+            np.broadcast_to(np.asarray(best_fitness, dtype=float), size),
+        ],
+        dtype=[
+            ("position", float, (n,)),
+            ("velocity", float, (n,)),
+            ("best_position", float, (n,)),
+            ("best_fitness", float),
+        ],
+    )
 
 
 class ZeroDrawGenerator:
@@ -122,10 +143,9 @@ def test_pso_step_zero_attraction_moves_by_inertia():
     # with both random coefficients at zero the velocity is unchanged
     # and the position advances by omega * velocity
     config = PsoConfig(swarm_size=2, omega=0.7, velocity_clamp=math.pi).validate()
-    swarm = [
-        Particle(np.array([1.0, -2.0]), np.array([0.5, 0.25]), np.array([1.0, -2.0]), 0.5),
-        Particle(np.array([0.0, 0.0]), np.array([-0.1, 0.1]), np.array([0.0, 0.0]), 0.5),
-    ]
+    swarm = make_swarm(
+        [[1.0, -2.0], [0.0, 0.0]], [[0.5, 0.25], [-0.1, 0.1]], best_fitness=0.5
+    )
     pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), ZeroDrawGenerator())
     assert np.allclose(swarm[0].velocity, [0.5, 0.25])
     assert np.allclose(swarm[0].position, [1.0 + 0.35, -2.0 + 0.175])
@@ -134,10 +154,7 @@ def test_pso_step_zero_attraction_moves_by_inertia():
 
 def test_pso_step_fixed_point_at_own_best():
     config = PsoConfig(swarm_size=2).validate()
-    swarm = [
-        Particle(np.array([0.4]), np.zeros(1), np.array([0.4]), 1.0),
-        Particle(np.array([0.4]), np.zeros(1), np.array([0.4]), 1.0),
-    ]
+    swarm = make_swarm([[0.4], [0.4]], best_fitness=1.0)
     rng = make_generator(32)
     for _ in range(5):
         pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), rng)
@@ -149,10 +166,7 @@ def test_pso_step_linear_motion_with_unit_inertia_and_zero_draws():
     config = PsoConfig(swarm_size=2, omega=1.0).validate()
     p0 = np.array([0.0, 1.0])
     v0 = np.array([0.2, -0.1])
-    swarm = [
-        Particle(p0.copy(), v0.copy(), p0.copy(), -math.inf),
-        Particle(-p0.copy(), -v0.copy(), -p0.copy(), -math.inf),
-    ]
+    swarm = make_swarm([p0, -p0], [v0, -v0])
     for t in range(1, 6):
         pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), ZeroDrawGenerator())
         assert np.allclose(swarm[0].position, p0 + t * v0)
@@ -161,10 +175,7 @@ def test_pso_step_linear_motion_with_unit_inertia_and_zero_draws():
 
 def test_pso_step_velocity_clamp():
     config = PsoConfig(swarm_size=2, velocity_clamp=0.05).validate()
-    swarm = [
-        Particle(np.array([0.0]), np.zeros(1), np.array([5.0]), 10.0),
-        Particle(np.array([0.0]), np.zeros(1), np.array([-5.0]), 1.0),
-    ]
+    swarm = make_swarm([[0.0], [0.0]], best_positions=[[5.0], [-5.0]], best_fitness=[10.0, 1.0])
     rng = make_generator(33)
     pso_step(swarm, config, lambda pos, rngs: np.zeros(len(pos)), rng)
     for particle in swarm:
@@ -174,7 +185,7 @@ def test_pso_step_velocity_clamp():
 def test_pso_step_personal_best_monotone():
     config = PsoConfig(swarm_size=4, fitness_samples=1).validate()
     rng = make_generator(34)
-    swarm = init_swarm(3, config, rng)
+    swarm = make_swarm(rng.uniform(-config.init_range, config.init_range, (4, 3)))
 
     noisy = make_generator(35)
 
@@ -200,7 +211,7 @@ def test_pso_step_quadratic_bowl_convergence():
         velocity_clamp=math.pi,
     ).validate()
     rng = make_generator(1)
-    swarm = init_swarm(1, config, rng)
+    swarm = make_swarm(rng.uniform(-config.init_range, config.init_range, (2, 1)))
 
     def fitness(pos, rngs):
         return -((pos[:, 0] - target) ** 2)
@@ -211,6 +222,56 @@ def test_pso_step_quadratic_bowl_convergence():
     assert abs(best.best_position[0] - target) < 1e-2
 
 
+def _constant_fitness(pos, rngs):
+    return np.full(len(pos), 0.5)
+
+
+def _coarse_fitness(pos, rngs):
+    # rounded to 0.1 so distinct positions often tie
+    return np.round(np.cos(pos).sum(axis=1), 1)
+
+
+def _spawned_fitness(pos, rngs):
+    return np.array([rng.random() for rng in rngs]) + np.sin(pos).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "fitness, size, n, radius",
+    [
+        (_constant_fitness, 7, 3, 2),  # tied bests at distinct positions
+        (_coarse_fitness, 8, 3, 2),
+        (_spawned_fitness, 6, 4, 1),
+        (_coarse_fitness, 5, 2, 0),
+        (_coarse_fitness, 6, 3, 3),  # radius = swarm/2: both ends meet
+        (_spawned_fitness, 5, 2, 9),  # radius > swarm/2, clipped to 2
+    ],
+)
+def test_pso_step_matches_per_particle_loops_bit_for_bit(fitness, size, n, radius):
+    # bests start at -inf, as in training, and the velocities off zero,
+    # so no case sits at a fixed point; every field and the master
+    # generator must agree bit for bit after each step
+    config = PsoConfig(swarm_size=size, neighborhood_radius=radius, omega=0.9).validate()
+    start = make_generator([43, size]).uniform(-1.5, 1.5, (2, size, n))
+    swarm = make_swarm(*start)
+    particles = [
+        SimpleNamespace(
+            position=x.copy(), velocity=v.copy(), best_position=x.copy(),
+            best_fitness=-math.inf,
+        )
+        for x, v in zip(*start)
+    ]
+    rng, reference_rng = make_generator(44), make_generator(44)
+    for _ in range(6):
+        pso_step(swarm, config, fitness, rng)
+        pso_step_per_particle(particles, config, fitness, reference_rng)
+        for field in ("position", "velocity", "best_position"):
+            expected = np.stack([getattr(p, field) for p in particles])
+            assert swarm[field].tobytes() == expected.tobytes(), field
+        expected = np.array([p.best_fitness for p in particles])
+        assert swarm.best_fitness.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def test_pso_config_validation():
     with pytest.raises(ValueError):
         PsoConfig(swarm_size=1).validate()
@@ -218,6 +279,13 @@ def test_pso_config_validation():
         PsoConfig(omega=0.0).validate()
     with pytest.raises(ValueError):
         PsoConfig(fitness_samples=0).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["omega", "beta1", "alpha2", "velocity_clamp", "init_range"])
+def test_pso_config_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        PsoConfig(**{name: value}).validate()
 
 
 def test_train_policy_deterministic_and_wrapped():
