@@ -32,13 +32,12 @@ from .interferometer import (
     IDEAL,
     NoiseChannel,
     fisher_information,
-    ideal_likelihood,
     noisy_likelihood,
     precision_bound,
     sample_outcome,
     sample_outcomes,
 )
-from .nonadaptive import CountSummary, inversion_estimate
+from .nonadaptive import inversion_estimate
 from .posterior import (
     DEFAULT_GRID_SIZE,
     DegeneratePosteriorError,

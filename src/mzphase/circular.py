@@ -13,27 +13,30 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_phase(x):
-    """Wrap an angle (scalar or array) into the canonical range [0, 2*pi)."""
-    return x % TWO_PI
+    """Wrap an angle (scalar or array) into the canonical range [0, 2*pi).
+
+    x % 2pi rounds a tiny negative x up to 2pi itself, which maps to 0.
+    A scalar comes back as a float, an array as an array.
+    """
+    y = x % TWO_PI
+    if isinstance(y, np.ndarray):
+        y[y == TWO_PI] = 0.0
+        return y
+    return 0.0 if y == TWO_PI else float(y)
 
 
 def wrap_signed(x):
     """Wrap an angle (scalar or array) into (-pi, pi]."""
-    return math.pi - (math.pi - x) % TWO_PI
-
-
-def mean_resultant_length(angles):
-    """Sharpness |mean(e^{i theta})| of a sample of angles, in [0, 1]."""
-    angles = np.asarray(angles, dtype=float)
-    return float(abs(np.exp(1j * angles).mean()))
+    return math.pi - wrap_phase(math.pi - x)
 
 
 def holevo_sigma(angles):
-    """Square root of the Holevo variance S^-2 - 1 of a sample of angles.
+    """Square root of the Holevo variance S^-2 - 1 of a sample of angles,
+    S = |mean(e^{i theta})| its sharpness.
 
     Returns inf when the sample resultant vanishes.
     """
-    s = mean_resultant_length(angles)
+    s = float(abs(np.exp(1j * np.asarray(angles, dtype=float)).mean()))
     if s < 1e-15:
         return math.inf
     return math.sqrt(max(1.0 / (s * s) - 1.0, 0.0))

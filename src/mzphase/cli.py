@@ -169,6 +169,18 @@ def _phases(config):
     return raw
 
 
+def _comma_list(config, key, default=None):
+    """config[key] (or default when unset) as a list. A string is split on
+    commas, its entries stripped and the empty ones dropped; an empty list
+    or another type is a config error."""
+    raw = config.get(key, default)
+    if isinstance(raw, str):
+        raw = [item.strip() for item in raw.split(",") if item.strip()]
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{key} must name at least one entry, got {raw!r}")
+    return raw
+
+
 def _resolve_strategy(name, config):
     if name not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {name!r}")
@@ -278,16 +290,12 @@ def cmd_train_policy(args):
 def cmd_benchmark(args):
     """batch statistics over phases and channels"""
     config = _load_config("benchmark", args)
-    strategies = config.get("strategies") or ["go"]
-    if isinstance(strategies, str):
-        strategies = [s.strip() for s in strategies.split(",") if s.strip()]
+    strategies = _comma_list(config, "strategies", default=["go"])
     n = _positive_int(config, "n")
     m = _positive_int(config, "m", minimum=2)
     grid_size = _positive_int(config, "grid_size", minimum=2)
     phases = _phases(config)
-    channels = config["channels"]
-    if isinstance(channels, str):
-        channels = [c.strip() for c in channels.split(",") if c.strip()]
+    channels = _comma_list(config, "channels")
     model_channel = _parse_channel(config["model_channel"], "model_channel")
     resolved = [(name, _resolve_strategy(name, config)) for name in strategies]
     seed = _positive_int(config, "seed", minimum=0)
@@ -375,11 +383,7 @@ def _plot_rows_from_batch(path, figure_id):
 def cmd_plot_data(args):
     """reshape results into tidy CSV"""
     config = _load_config("plot-data", args)
-    inputs = config.get("inputs") or []
-    if isinstance(inputs, str):
-        inputs = [p for p in inputs.split(",") if p]
-    if not inputs:
-        raise ConfigError("no input files given")
+    inputs = _comma_list(config, "inputs")
     figure_id = _require(config, "figure_id")
 
     rows = []

@@ -18,6 +18,7 @@ Strategies:
 """
 
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ from .interferometer import (
     precision_bound,
     sample_outcome,
 )
-from .nonadaptive import CountSummary, inversion_estimate
+from .nonadaptive import inversion_estimate
 from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid, UndefinedMeanError
 from .pso import Policy, apply_policy_step
 from .rng import make_generator
@@ -110,22 +111,6 @@ class RunRecord:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, d):
-        steps = d["steps"]
-        sigmas = [math.nan if s["sigma"] is None else s["sigma"] for s in steps]
-        return cls(
-            phi_true=d["phi_true"],
-            strategy=d["strategy"],
-            sample_channel=NoiseChannel.from_dict(d["sample_channel"]),
-            model_channel=NoiseChannel.from_dict(d["model_channel"]),
-            seed=tuple(d["seed"]),
-            feedbacks=np.array([s["feedback"] for s in steps]),
-            outcomes=np.array([s["outcome"] for s in steps], dtype=np.int64),
-            estimates=np.array([s["estimate"] for s in steps]),
-            sigmas=np.array(sigmas),
-        )
 
 
 @dataclass
@@ -210,12 +195,15 @@ def run_estimation(
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
+    phi_true = float(phi_true)
+    if not math.isfinite(phi_true):
+        raise ValueError(f"true phase must be finite, got {phi_true}")
     label, resolved = _resolve_strategy(strategy)
     if label == "policy" and resolved.n < n:
         raise ValueError(f"policy length {resolved.n} is shorter than n={n}")
     if model_channel is None:
         model_channel = IDEAL
-    phi_true = wrap_phase(float(phi_true))
+    phi_true = wrap_phase(phi_true)
     entropy = [seed] if np.isscalar(seed) else list(seed)
     rng = make_generator(entropy)
 
@@ -224,37 +212,34 @@ def run_estimation(
     estimates = np.empty(n)
     sigmas = np.full(n, math.nan)
 
-    if label == "policy":
-        fb, prev = 0.0, 0
-        for k in range(1, n + 1):
-            fb = apply_policy_step(resolved, fb, prev, k)
-            prev = sample_outcome(sample_channel, phi_true, fb, rng)
-            feedbacks[k - 1] = fb
-            outcomes[k - 1] = prev
-            estimates[k - 1] = fb
-    elif label == "inversion":
-        n0 = 0
-        for k in range(1, n + 1):
-            x = sample_outcome(sample_channel, phi_true, 0.0, rng)
-            n0 += x == 0
-            feedbacks[k - 1] = 0.0
-            outcomes[k - 1] = x
-            estimates[k - 1] = inversion_estimate(CountSummary(n0, k - n0))
-    else:  # posterior strategies; bayes-fixed keeps Phi = 0 on a [0, pi] prior
-        fixed = label == "bayes-fixed"
-        grid = PosteriorGrid.uniform(grid_size, support=(0.0, math.pi) if fixed else None)
-        for k in range(1, n + 1):
-            fb = 0.0 if fixed else next_feedback(resolved, grid, k, rng)
-            x = sample_outcome(sample_channel, phi_true, fb, rng)
+    # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
+    online = label in ("go", "pgh")
+    grid = None
+    if online or label == "bayes-fixed":
+        support = None if online else (0.0, math.pi)
+        grid = PosteriorGrid.uniform(grid_size, support=support)
+    fb, x, n0 = 0.0, 0, 0  # a policy starts from Phi_0 = 0 and x_0 = 0
+    for k in range(1, n + 1):
+        if label == "policy":
+            fb = apply_policy_step(resolved, fb, x, k)
+        elif online:
+            fb = next_feedback(resolved, grid, k, rng)
+        x = sample_outcome(sample_channel, phi_true, fb, rng)
+        feedbacks[k - 1] = fb
+        outcomes[k - 1] = x
+        if grid is not None:
             grid.update(x, fb, model_channel)
             if snapshot is not None:
                 snapshot(k, grid)
-            feedbacks[k - 1] = fb
-            outcomes[k - 1] = x
             try:
                 estimates[k - 1], sigmas[k - 1] = grid.gaussian_summary()
             except UndefinedMeanError:  # zero resultant: keep the last estimate
                 estimates[k - 1] = estimates[k - 2] if k > 1 else fb
+        elif label == "policy":
+            estimates[k - 1] = fb
+        else:
+            n0 += x == 0
+            estimates[k - 1] = inversion_estimate(n0, k)
 
     return RunRecord(
         phi_true=phi_true,
@@ -269,9 +254,8 @@ def run_estimation(
     )
 
 
-def _run_indexed(args):
-    index, kwargs = args
-    return index, run_estimation(**kwargs)
+def _run_seeded(kwargs, seed):
+    return run_estimation(**kwargs, seed=seed)
 
 
 def run_batch(
@@ -289,35 +273,25 @@ def run_batch(
     """M independent runs at one true phase; returns (BatchStats, records).
 
     Run i is seeded by [base_seed, phase_index, i]. With workers > 1 the
-    runs are evaluated in a process pool; results are re-assembled in
-    run order so the aggregate does not depend on scheduling.
+    runs are evaluated in a process pool, whose map returns them in run
+    order, so the aggregate does not depend on scheduling.
     """
     if m < 2:
         raise ValueError("need m >= 2 runs")
-    jobs = [
-        (
-            i,
-            dict(
-                phi_true=phi_true,
-                n=n,
-                strategy=strategy,
-                sample_channel=sample_channel,
-                model_channel=model_channel,
-                grid_size=grid_size,
-                seed=[base_seed, phase_index, i],
-            ),
-        )
-        for i in range(m)
-    ]
-    records = [None] * m
+    run = functools.partial(_run_seeded, dict(
+        phi_true=phi_true,
+        n=n,
+        strategy=strategy,
+        sample_channel=sample_channel,
+        model_channel=model_channel,
+        grid_size=grid_size,
+    ))
+    seeds = [[base_seed, phase_index, i] for i in range(m)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, record in pool.map(_run_indexed, jobs, chunksize=8):
-                records[index] = record
+            records = list(pool.map(run, seeds, chunksize=8))
     else:
-        for job in jobs:
-            index, record = _run_indexed(job)
-            records[index] = record
+        records = [run(seed) for seed in seeds]
     stats = BatchStats.from_estimates([r.final_estimate for r in records], phi_true)
     return stats, records
 
@@ -345,6 +319,8 @@ def sweep_phases(
         phases = [float(p) for p in phases]
         if not phases:
             raise ValueError("empty phase list")
+        if not all(map(math.isfinite, phases)):
+            raise ValueError(f"phases must be finite, got {phases}")
     results = []
     for j, phi in enumerate(phases):
         stats, records = run_batch(

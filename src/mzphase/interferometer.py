@@ -30,7 +30,6 @@ from .rng import box_muller, normal
 __all__ = [
     "NoiseChannel",
     "IDEAL",
-    "ideal_likelihood",
     "noisy_likelihood",
     "sample_outcome",
     "sample_outcomes",
@@ -67,10 +66,6 @@ class NoiseChannel:
             raise ValueError(f"depolarizing probability p={self.p} outside [0, 1]")
         if self.kind == "phase" and self.kappa < 0.0:
             raise ValueError(f"phase noise strength kappa={self.kappa} must be >= 0")
-
-    @classmethod
-    def ideal(cls):
-        return cls("ideal")
 
     @classmethod
     def depolarizing(cls, p):
@@ -125,30 +120,23 @@ class NoiseChannel:
         return cls(d["kind"], p=d.get("p", 0.0), kappa=d.get("kappa", 0.0))
 
 
-IDEAL = NoiseChannel.ideal()
+IDEAL = NoiseChannel()
 
 
-def ideal_likelihood(x, phi, feedback, out=None):
-    """Noiseless click probability; phi/feedback may be scalars or arrays.
+def noisy_likelihood(channel, x, phi, feedback, out=None):
+    """Click probability v p(x) + q / 2 under the given channel, p(x) the
+    noiseless one; phi/feedback may be scalars or arrays.
 
     As for a numpy ufunc, out is an array to write the result into, and
     every intermediate goes there too; without it a new one is returned.
+    Without a fair coin (q == 0, so v == 1) this is p(x) itself, with no
+    further pass over it.
     """
     c = np.subtract(phi, feedback, out=out)
     c = np.multiply(c, 0.5, out=out)
     c = np.cos(c, out=out)
     p0 = np.multiply(c, c, out=out)
-    return p0 if x == 0 else np.subtract(1.0, p0, out=out)
-
-
-def noisy_likelihood(channel, x, phi, feedback, out=None):
-    """Click probability v p(x) + q / 2 under the given channel, into out
-    as for ideal_likelihood.
-
-    Without a fair coin (q == 0, so v == 1) this is the ideal array
-    itself, with no further pass over it.
-    """
-    p = ideal_likelihood(x, phi, feedback, out=out)
+    p = p0 if x == 0 else np.subtract(1.0, p0, out=out)
     q = channel.fair_weight
     if q == 0.0:
         return p

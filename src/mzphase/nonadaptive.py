@@ -7,33 +7,16 @@ the fixed-feedback Bayesian estimator with the prior truncated to
 """
 
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class CountSummary:
-    """Click counts after N probes."""
-
-    n0: int
-    n1: int
-
-    def __post_init__(self):
-        if self.n0 < 0 or self.n1 < 0:
-            raise ValueError("counts must be non-negative")
-        if self.n0 + self.n1 < 1:
-            raise ValueError("need at least one recorded outcome")
-
-    @property
-    def total(self):
-        return self.n0 + self.n1
-
-
-def inversion_estimate(counts):
-    """Invert cos^2(phi/2) = N0/N; result clamped to [0, pi].
+def inversion_estimate(n0, n):
+    """Invert cos^2(phi/2) = N0/N from N0 clicks of outcome 0 in N probes;
+    result clamped to [0, pi].
 
     No bias correction is applied; under depolarizing noise the raw
     inversion is biased toward pi/2.
     """
-    ratio = counts.n0 / counts.total
-    est = 2.0 * math.acos(math.sqrt(ratio))
+    if not 0 <= n0 <= n or n < 1:
+        raise ValueError(f"need 0 <= n0 <= n and n >= 1, got n0={n0} n={n}")
+    est = 2.0 * math.acos(math.sqrt(n0 / n))
     return min(max(est, 0.0), math.pi)

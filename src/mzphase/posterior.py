@@ -187,10 +187,7 @@ class PosteriorGrid:
         return abs(self._kept_resultant())
 
     def circular_mean(self):
-        z = self._kept_resultant()
-        if abs(z) < _RESULTANT_EPS:
-            raise UndefinedMeanError("zero resultant vector")
-        return wrap_phase(math.atan2(z.imag, z.real))
+        return self.gaussian_summary().mu
 
     def holevo_variance(self):
         s = self.sharpness()

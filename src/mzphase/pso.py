@@ -27,11 +27,11 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circular import TWO_PI, wrap_signed
+from .circular import TWO_PI, wrap_phase, wrap_signed
 from .interferometer import IDEAL, NoiseChannel, sample_outcomes
 from .rng import make_generator
 
@@ -107,7 +107,7 @@ def apply_policy_step(policy, prev_feedback, prev_outcome, k):
     if not 1 <= k <= policy.n:
         raise ValueError(f"step {k} outside policy range 1..{policy.n}")
     sign = 1.0 if prev_outcome == 0 else -1.0
-    return (prev_feedback - sign * policy.deltas[k - 1]) % TWO_PI
+    return wrap_phase(prev_feedback - sign * policy.deltas[k - 1])
 
 
 def _sharpness(positions, channel, k_samples, rngs):
@@ -184,23 +184,9 @@ class PsoConfig:
             raise ValueError("velocity_clamp and init_range must be positive")
         return self
 
-    def to_dict(self):
-        return {
-            "swarm_size": self.swarm_size,
-            "iterations": self.iterations,
-            "omega": self.omega,
-            "beta1": self.beta1,
-            "alpha2": self.alpha2,
-            "neighborhood_radius": self.neighborhood_radius,
-            "fitness_samples": self.fitness_samples,
-            "velocity_clamp": self.velocity_clamp,
-            "init_range": self.init_range,
-            "seed": self.seed,
-        }
-
     def digest(self):
         """Short stable hash of the configuration, stored in policy files."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -281,7 +267,7 @@ def train_policy(n, channel=IDEAL, config=None):
     return Policy(
         swarm.best_position[best].copy(),
         channel=channel,
-        config={"hash": config.digest(), **config.to_dict()},
+        config={"hash": config.digest(), **asdict(config)},
         sharpness=float(swarm.best_fitness[best]),
         seed=config.seed,
     )

@@ -227,6 +227,52 @@ def test_benchmark_channel_groups(tmp_path):
     assert crbs["depolarizing:0.1"] == 1.0 / (0.9 * 2.0)
 
 
+@pytest.mark.parametrize("key", ["strategies", "channels"])
+@pytest.mark.parametrize("value", [",", " , ,", ""])
+def test_benchmark_empty_comma_list_is_config_error(key, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["benchmark", "--strategies", "inversion", "--n", "3", "--m", "2", "--phases", "1",
+            "--grid-size", "64", "--seed", "1", "--out", "out"]
+    assert cli.main([*args, "--" + key, value]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["strategies", "channels", "inputs"])
+@pytest.mark.parametrize("value", [5, {}, []])
+def test_list_option_in_config_must_be_a_non_empty_list(key, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({key: value}))
+    command = ["plot-data", "--figure-id", "f"] if key == "inputs" else [
+        "benchmark", "--n", "3", "--m", "2", "--phases", "1", "--grid-size", "64"]
+    assert cli.main([*command, "--config", "config.json", "--seed", "1", "--out", "out"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_comma_lists_are_stripped_and_meta_keeps_them_as_given(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([
+        "benchmark", "--strategies", " inversion, ,bayes-fixed ", "--channels", "ideal ,",
+        "--n", "3", "--m", "2", "--phases", "1", "--grid-size", "64", "--seed", "1",
+        "--out", "out",
+    ]) == 0
+    with open(tmp_path / "out" / "benchmark.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["strategy"], row["channel"]) for row in rows] == [
+        ("inversion", "ideal"), ("bayes-fixed", "ideal")
+    ]
+    meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+    assert (meta["strategies"], meta["channels"]) == (" inversion, ,bayes-fixed ", "ideal ,")
+
+
+def test_plot_data_empty_comma_list_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"inputs": " , "}))
+    assert cli.main(["plot-data", "--config", "config.json", "--figure-id", "f",
+                     "--out", "out"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_data_from_run_and_batch(tmp_path):
     estimate = run_cli(
         "estimate", "--strategy", "go", "--phi-true", "1.1", "--n", "5",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzphase import NoiseChannel, Policy, PsoConfig, run_estimation, train_policy
+from mzphase import NoiseChannel, Policy, PsoConfig, harness, run_estimation, train_policy
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
 POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
@@ -72,6 +72,49 @@ def test_default_grid_run_matches_golden(case):
     channel = NoiseChannel.parse(spec)
     record = run_estimation(1.0, 30, strategy, sample_channel=channel, model_channel=channel, seed=0)
     assert _digest(record) == GOLDEN_DEFAULT_GRID[case]
+
+
+# the run generator's final PCG64 state after 30 probes at grid 1024
+# (phi_true 1.0, seed [7, 0, 2], the channel also the updater's model),
+# recorded while each strategy family still had its own run loop. Every
+# double drawn advances the state by one step, so the state pins the
+# number of draws a run makes.
+GOLDEN_STREAM = {
+    "go|ideal": "1e73c5e20846c5aad776b9a3e721d718",
+    "go|depolarizing:0.1": "87cbb5b8829cd053e09ff1d7124e4fb6",
+    "go|phase:0.3": "14405dd502360d736240342b0939af04",
+    "pgh|ideal": "bcf56dc91f9ae198ba2564abbede91a7",
+    "pgh|depolarizing:0.1": "32d0e8275c6116def96ccaa5440e779d",
+    "pgh|phase:0.3": "05ac7a02507de61084f0010434407203",
+    "policy|ideal": "d065ffa8d9d46857724b84818471faa1",
+    "policy|depolarizing:0.1": "bcf56dc91f9ae198ba2564abbede91a7",
+    "policy|phase:0.3": "32d0e8275c6116def96ccaa5440e779d",
+    "inversion|ideal": "d065ffa8d9d46857724b84818471faa1",
+    "inversion|depolarizing:0.1": "bcf56dc91f9ae198ba2564abbede91a7",
+    "inversion|phase:0.3": "32d0e8275c6116def96ccaa5440e779d",
+    "bayes-fixed|ideal": "d065ffa8d9d46857724b84818471faa1",
+    "bayes-fixed|depolarizing:0.1": "bcf56dc91f9ae198ba2564abbede91a7",
+    "bayes-fixed|phase:0.3": "32d0e8275c6116def96ccaa5440e779d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STREAM))
+def test_run_leaves_its_generator_in_the_golden_state(case, monkeypatch):
+    made = []
+
+    def make_generator(entropy, original=harness.make_generator):
+        made.append(original(entropy))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "make_generator", make_generator)
+    strategy, spec = case.split("|")
+    channel = NoiseChannel.parse(spec)
+    run_estimation(1.0, 30, POLICY if strategy == "policy" else strategy,
+                   sample_channel=channel, model_channel=channel, grid_size=1024, seed=[7, 0, 2])
+    [rng] = made
+    state = rng.bit_generator.state
+    assert state["state"]["state"] == int(GOLDEN_STREAM[case], 16)
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
 
 
 def test_golden_covers_every_strategy_and_channel():

@@ -40,6 +40,14 @@ def test_go_feedback_example_values():
     assert fb == pytest.approx(2.0 + 1.139472, abs=1e-5)
 
 
+def test_go_feedback_never_returns_two_pi():
+    # mu + offset is one ulp below 0, which x % 2pi rounds up to 2pi
+    offset = feedback_offset(0.1)
+    mu = float(np.nextafter(-offset, 0.0))
+    assert mu + offset < 0.0
+    assert go_feedback(GaussianSummary(mu, 0.1), +1) == 0.0
+
+
 def test_offset_coefficient_at_zero():
     assert offset_coefficient(0.0).real == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-12)
     assert offset_coefficient(0.0).imag == 0.0

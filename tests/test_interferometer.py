@@ -9,7 +9,6 @@ from mzphase import (
     IDEAL,
     NoiseChannel,
     fisher_information,
-    ideal_likelihood,
     make_generator,
     noisy_likelihood,
     precision_bound,
@@ -35,9 +34,9 @@ def test_wrap_phase_range_and_offset():
 
 
 def test_ideal_likelihood_values():
-    assert ideal_likelihood(0, math.pi / 2, math.pi / 2) == pytest.approx(1.0)
-    assert ideal_likelihood(0, math.pi, 0.0) == pytest.approx(0.0, abs=1e-30)
-    assert ideal_likelihood(0, math.pi / 2, 0.0) == pytest.approx(0.5)  # cos^2(pi/4)
+    assert noisy_likelihood(IDEAL, 0, math.pi / 2, math.pi / 2) == pytest.approx(1.0)
+    assert noisy_likelihood(IDEAL, 0, math.pi, 0.0) == pytest.approx(0.0, abs=1e-30)
+    assert noisy_likelihood(IDEAL, 0, math.pi / 2, 0.0) == pytest.approx(0.5)  # cos^2(pi/4)
 
 
 def test_noisy_likelihood_values():
@@ -70,7 +69,7 @@ def test_zero_noise_channels_match_ideal_exactly():
     rng = make_generator(3)
     for _ in range(100):
         phi, fb = rng.uniform(0, 2 * math.pi, 2)
-        p = ideal_likelihood(1, phi, fb)
+        p = noisy_likelihood(IDEAL, 1, phi, fb)
         assert noisy_likelihood(NoiseChannel.depolarizing(0.0), 1, phi, fb) == p
         assert noisy_likelihood(NoiseChannel.phase(0.0), 1, phi, fb) == p
 
@@ -203,7 +202,7 @@ def test_likelihood_writes_into_out(channel):
             [noisy_likelihood(channel, x, float(phi), 1.3) for phi in phis], out
         )
     out = np.empty_like(phis)
-    assert ideal_likelihood(1, phis, 0.2, out=out) is out
+    assert noisy_likelihood(IDEAL, 1, phis, 0.2, out=out) is out
 
 
 @given(channels, angles, angles)

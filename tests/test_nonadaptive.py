@@ -5,7 +5,6 @@ import pytest
 
 from mzphase import (
     IDEAL,
-    CountSummary,
     NoiseChannel,
     PosteriorGrid,
     inversion_estimate,
@@ -16,26 +15,25 @@ from mzphase import (
 
 
 def test_inversion_estimate_endpoints_and_midpoint():
-    assert inversion_estimate(CountSummary(50, 0)) == 0.0
-    assert inversion_estimate(CountSummary(0, 50)) == pytest.approx(math.pi)
-    assert inversion_estimate(CountSummary(25, 25)) == pytest.approx(math.pi / 2)
+    assert inversion_estimate(50, 50) == 0.0
+    assert inversion_estimate(0, 50) == pytest.approx(math.pi)
+    assert inversion_estimate(25, 50) == pytest.approx(math.pi / 2)
 
 
 def test_inversion_estimate_monotone_in_ratio():
-    estimates = [inversion_estimate(CountSummary(n0, 100 - n0)) for n0 in range(101)]
+    estimates = [inversion_estimate(n0, 100) for n0 in range(101)]
     assert all(b <= a for a, b in zip(estimates, estimates[1:]))
 
 
-def test_count_summary_validation():
+@pytest.mark.parametrize("n0, n", [(0, 0), (-1, 4), (5, 4)])
+def test_inversion_estimate_rejects_impossible_counts(n0, n):
     with pytest.raises(ValueError):
-        CountSummary(0, 0)
-    with pytest.raises(ValueError):
-        CountSummary(-1, 5)
+        inversion_estimate(n0, n)
 
 
 def simulate_counts(phi_true, n, channel, rng):
-    n0 = sum(sample_outcome(channel, phi_true, 0.0, rng) == 0 for _ in range(n))
-    return CountSummary(n0, n - n0)
+    """(N0, N): clicks of outcome 0 in n probes at feedback 0."""
+    return sum(sample_outcome(channel, phi_true, 0.0, rng) == 0 for _ in range(n)), n
 
 
 def fixed_phase_posterior(outcomes, grid_size):
@@ -76,7 +74,7 @@ def test_quadratic_loss_decreases_with_probe_count(phi_true):
         for i in range(60):
             rng = make_generator([50, n, i])
             counts = simulate_counts(phi_true, n, IDEAL, rng)
-            losses_inv.append((inversion_estimate(counts) - phi_true) ** 2)
+            losses_inv.append((inversion_estimate(*counts) - phi_true) ** 2)
             outcomes = [
                 sample_outcome(IDEAL, phi_true, 0.0, make_generator([51, n, i, k]))
                 for k in range(n)
@@ -94,7 +92,7 @@ def test_inversion_bias_toward_half_pi_under_depolarizing():
     estimates = []
     for i in range(400):
         rng = make_generator([52, i])
-        estimates.append(inversion_estimate(simulate_counts(phi_true, 100, channel, rng)))
+        estimates.append(inversion_estimate(*simulate_counts(phi_true, 100, channel, rng)))
     estimates = np.array(estimates)
     se = estimates.std(ddof=1) / math.sqrt(estimates.size)
     assert (estimates.mean() - phi_true) / se > 10.0

@@ -66,6 +66,13 @@ def test_apply_policy_step_directions():
         apply_policy_step(policy, 0.0, 0, 0)
 
 
+def test_apply_policy_step_never_returns_two_pi():
+    policy = Policy([0.3])
+    d = float(policy.deltas[0])
+    # the step lands a tiny negative phase, which x % 2pi rounds up to 2pi
+    assert apply_policy_step(policy, float(np.nextafter(d, 0.0)), 0, 1) == 0.0
+
+
 def test_policy_wraps_deltas():
     policy = Policy(np.array([4.0, -4.0, math.pi]))
     assert np.all(policy.deltas > -math.pi)
