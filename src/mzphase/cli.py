@@ -181,15 +181,19 @@ def _comma_list(config, key, default=None):
     return raw
 
 
-def _resolve_strategy(name, config):
+def _resolve_strategy(name, config, n):
+    """The strategy to run for n probes: a name, a Heuristic or a Policy."""
     if name not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {name!r}")
     if name == "policy":
         path = _require(config, "policy_file")
         try:
-            return Policy.load(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            policy = Policy.load(path)
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot load policy file {path!r}: {exc}")
+        if policy.n < n:
+            raise ConfigError(f"policy file {path!r} has {policy.n} increments, fewer than n={n}")
+        return policy
     if name in ("go", "pgh"):
         try:
             return Heuristic(
@@ -225,7 +229,7 @@ def cmd_estimate(args):
     phi_true = _finite(_require(config, "phi_true"), "phi_true")
     n = _positive_int(config, "n")
     grid_size = _positive_int(config, "grid_size", minimum=2)
-    strategy = _resolve_strategy(strategy_name, config)
+    strategy = _resolve_strategy(strategy_name, config, n)
     sample_channel = _parse_channel(config["channel"], "channel")
     model_channel = _parse_channel(config["model_channel"], "model_channel")
 
@@ -297,7 +301,7 @@ def cmd_benchmark(args):
     phases = _phases(config)
     channels = _comma_list(config, "channels")
     model_channel = _parse_channel(config["model_channel"], "model_channel")
-    resolved = [(name, _resolve_strategy(name, config)) for name in strategies]
+    resolved = [(name, _resolve_strategy(name, config, n)) for name in strategies]
     seed = _positive_int(config, "seed", minimum=0)
     threads = _positive_int(config, "threads")
 

@@ -81,6 +81,11 @@ class NoiseChannel:
         return _KINDS[self.kind][1](self)
 
     @property
+    def draws(self):
+        """Uniforms sample_outcomes draws per sample and probe."""
+        return _DRAWS[self.kind]
+
+    @property
     def fair_weight(self):
         """Weight q of the fair coin mixed into the fringe, 1 - v up to rounding."""
         return _KINDS[self.kind][2](self)
@@ -164,26 +169,38 @@ def sample_outcome(channel, phi, feedback, rng):
 _DRAWS = {"ideal": 1, "depolarizing": 3, "phase": 3}
 
 
-def sample_outcomes(channel, re, im, rngs):
+def sample_outcomes(channel, re, im, rngs, draws, out):
     """Clicks for rows of phasors e^{i(phi - Phi)}, given as re + i im.
 
-    Row s draws only from rngs[s]: one block of uniforms per draw kind,
-    in the order of _DRAWS. Returns a boolean array, True where outcome
-    1 clicks; without noise p(0) = (1 + re) / 2.
+    Row s draws only from rngs[s]: it fills draws[s], of shape
+    (channel.draws, K), with one block of uniforms per draw kind, in the
+    order of _DRAWS; the draws then serve as scratch. Writes 1.0 into out
+    where outcome 1 clicks and 0.0 elsewhere, and returns out; without
+    noise p(0) = (1 + re) / 2.
     """
-    u = np.empty((len(rngs), _DRAWS[channel.kind], re.shape[-1]))
-    for row, rng in zip(u, rngs):
+    for row, rng in zip(draws, rngs):
         rng.random(out=row)
     if channel.kind == "phase":
         # the kick on Phi turns the phasor by e^{-i kick}
-        kick = channel.kappa * box_muller(u[:, 0], u[:, 1])
-        re = re * np.cos(kick) + im * np.sin(kick)
-    click = u[:, 2 if channel.kind == "phase" else 0]
-    clicks = click >= (1.0 + re) / 2.0
-    if channel.kind == "depolarizing":
-        noisy = u[:, 1] < channel.p
-        clicks = np.where(noisy, u[:, 2] < 0.5, clicks)
-    return clicks
+        kick = box_muller(draws[:, 0], draws[:, 1])
+        kick *= channel.kappa
+        sin_kick = np.sin(kick, out=draws[:, 1])
+        cos_kick = np.cos(kick, out=kick)
+        cos_kick *= re
+        sin_kick *= im
+        re = np.add(cos_kick, sin_kick, out=out)
+    threshold = np.add(re, 1.0, out=out)
+    threshold *= 0.5
+    click = draws[:, 2 if channel.kind == "phase" else 0]
+    if channel.kind != "depolarizing":
+        return np.greater_equal(click, threshold, out=out)
+    # a noisy probe's click is a fair coin
+    noisy = draws[:, 1] < channel.p
+    clicks = click >= threshold
+    clicks &= ~noisy
+    clicks |= noisy & (draws[:, 2] < 0.5)
+    np.copyto(out, clicks)
+    return out
 
 
 def fisher_information(channel):

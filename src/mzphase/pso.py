@@ -47,6 +47,10 @@ __all__ = [
 # training quality degrades for long policies; warn past this length
 POLICY_LENGTH_SOFT_LIMIT = 50
 
+# fitness samples scored at once: a block of max(1, _BLOCK_SAMPLES // K)
+# swarm rows keeps its working arrays in cache
+_BLOCK_SAMPLES = 8192
+
 
 @dataclass
 class Policy:
@@ -87,12 +91,18 @@ class Policy:
     def load(cls, path):
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("policy file must hold a JSON object")
+        channel = payload.get("channel", {"kind": "ideal"})
+        if not isinstance(channel, dict):
+            raise ValueError("policy file: channel must be a JSON object")
         deltas = np.asarray(payload["deltas"], dtype=float)
-        if payload.get("n") is not None and int(payload["n"]) != deltas.size:
-            raise ValueError("policy file: n does not match deltas length")
+        n = payload.get("n")
+        if n is not None and (type(n) is not int or n != deltas.size):
+            raise ValueError(f"policy file: n={n!r} does not match deltas length {deltas.size}")
         return cls(
             deltas,
-            channel=NoiseChannel.from_dict(payload.get("channel", {"kind": "ideal"})),
+            channel=NoiseChannel.from_dict(channel),
             config=payload.get("config", {}),
             sharpness=payload.get("sharpness"),
             seed=payload.get("seed"),
@@ -116,19 +126,44 @@ def _sharpness(positions, channel, k_samples, rngs):
     Row s simulates K runs on rngs[s]: true phases first, then one block
     of outcome draws per probe. Each sample carries the phasor
     e^{i(phi - Phi_k)} as re + i im and turns it by e^{+-i d_k} per
-    step, so no angle is recomputed.
+    step, so no angle is recomputed. Rows are scored a block at a time
+    in arrays reused across blocks and probes; as a row draws only from
+    its own generator, the block size moves no bit.
     """
-    phases = np.stack([TWO_PI * rng.random(k_samples) for rng in rngs])
-    re, im = np.cos(phases), np.sin(phases)
-    cos_d = np.cos(positions).T[:, :, None]
-    sin_d = np.sin(positions).T[:, :, None]
-    # Phi_k = Phi_{k-1} - sign d_k with sign = (-1)^{x_{k-1}} and x_0 = 0
-    sign = np.ones_like(re)
-    for c, s in zip(cos_d, sin_d):
-        turn = sign * s
-        re, im = re * c - im * turn, im * c + re * turn
-        sign = 1.0 - 2.0 * sample_outcomes(channel, re, im, rngs)
-    return np.hypot(re.sum(axis=1), im.sum(axis=1)) / k_samples
+    size = len(positions)
+    rows = max(1, min(size, _BLOCK_SAMPLES // k_samples))
+    work = np.empty((4, rows, k_samples))
+    block_draws = np.empty((rows, channel.draws, k_samples))
+    result = np.empty(size)
+    for start in range(0, size, rows):
+        block = slice(start, start + rows)
+        block_rngs = rngs[block]
+        re, im, turn, sign = work[:, :len(block_rngs)]
+        draws = block_draws[:len(block_rngs)]
+        for phases, rng in zip(turn, block_rngs):
+            rng.random(out=phases)
+        turn *= TWO_PI
+        np.cos(turn, out=re)
+        np.sin(turn, out=im)
+        cos_d = np.cos(positions[block]).T[:, :, None]
+        sin_d = np.sin(positions[block]).T[:, :, None]
+        # Phi_k = Phi_{k-1} - sign d_k with sign = (-1)^{x_{k-1}} and x_0 = 0
+        sign.fill(1.0)
+        for c, s in zip(cos_d, sin_d):
+            np.multiply(sign, s, out=turn)
+            # (re, im) <- (re c - im turn, im c + re turn); sign holds im turn
+            np.multiply(im, turn, out=sign)
+            turn *= re
+            re *= c
+            re -= sign
+            im *= c
+            im += turn
+            # sign = 1 - 2 x_k, exactly +-1
+            sample_outcomes(channel, re, im, block_rngs, draws, sign)
+            sign *= -2.0
+            sign += 1.0
+        result[block] = np.hypot(re.sum(axis=1), im.sum(axis=1))
+    return result / k_samples
 
 
 def estimate_sharpness(policy, channel, k_samples, rng):

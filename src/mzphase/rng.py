@@ -39,5 +39,15 @@ def normal(rng):
 
 
 def box_muller(u1, u2):
-    """Array form of normal() on uniform arrays drawn in the order u1, u2."""
-    return np.sqrt(-2.0 * np.log(1.0 - u1)) * np.cos(TWO_PI * u2)
+    """Array form of normal() on uniform arrays drawn in the order u1, u2.
+
+    Works in place: the normals overwrite u1, which is returned, and u2
+    is overwritten too.
+    """
+    z = np.subtract(1.0, u1, out=u1)
+    np.log(z, out=z)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    u2 *= TWO_PI
+    z *= np.cos(u2, out=u2)
+    return z

@@ -447,3 +447,46 @@ def test_config_file_overrides_defaults_and_command_line_overrides_both(tmp_path
     assert meta["seed"] == 8
     assert meta["model_channel"] == "ideal"  # default
     assert len(json.loads((tmp_path / "out" / "run.json").read_text())["steps"]) == 4
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["[1, 2]", '"deltas"', '{"deltas": [0.1, 0.2], "channel": 5}',
+     '{"deltas": [0.1, 0.2], "channel": ["ideal"]}', '{"n": [2], "deltas": [0.1, 0.2]}',
+     '{"n": 2.5, "deltas": [0.1, 0.2]}', '{"n": "2", "deltas": [0.1, 0.2]}'],
+)
+def test_malformed_policy_file_is_config_error(tmp_path, payload):
+    (tmp_path / "policy.json").write_text(payload)
+    for command, args in (
+        ("estimate", ("--strategy", "policy", "--phi-true", "1.0")),
+        ("benchmark", ("--strategies", "policy", "--m", "2", "--phases", "1.0")),
+    ):
+        result = run_cli(
+            command, *args, "--policy-file", "policy.json", "--n", "2",
+            "--grid-size", "64", "--out", "out", cwd=tmp_path,
+        )
+        assert result.returncode == 2, (command, result.stderr)
+        assert "policy file" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "benchmark"])
+def test_policy_shorter_than_n_is_config_error(tmp_path, command):
+    (tmp_path / "policy.json").write_text('{"n": 2, "deltas": [0.1, 0.2]}')
+    args = {
+        "estimate": ("--strategy", "policy", "--phi-true", "1.0"),
+        "benchmark": ("--strategies", "go,policy", "--m", "2", "--phases", "1.0"),
+    }[command]
+    result = run_cli(
+        command, *args, "--policy-file", "policy.json", "--n", "3",
+        "--grid-size", "64", "--out", "out", cwd=tmp_path,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "fewer than n=3" in result.stderr
+    assert not (tmp_path / "out").exists()
+    # a policy at least n long still runs
+    result = run_cli(
+        command, *args, "--policy-file", "policy.json", "--n", "2",
+        "--grid-size", "64", "--out", "out", cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr

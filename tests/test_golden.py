@@ -189,3 +189,56 @@ def test_train_policy_matches_golden_training_bits(case):
     assert [float(d).hex() for d in policy.deltas] == deltas
     assert type(policy.sharpness) is float
     assert policy.sharpness.hex() == sharpness
+
+
+# Trainings at the benchmark's shape: the default swarm of 40 with 1000
+# fitness samples, so one evaluation spans several fitness row blocks.
+# Recorded before the fitness was scored in blocks. In 3 iterations the
+# noisy channels keep the same best particle, an initial position, but
+# score it differently.
+GOLDEN_TRAINING_DEFAULT_SHAPE_HEX = {
+    "ideal": (
+        [
+            "0x1.303d8f79e5900p-5", "0x1.6a48ce770b50cp+0", "-0x1.1e2f0ed25d9e8p+0",
+            "0x1.68d3468255f64p+0", "-0x1.2eab1281a7c5cp-1", "-0x1.ed50f4579efc0p-3",
+            "0x1.078dd71e49f46p+0", "-0x1.241b05524bd90p-2", "0x1.3f15bacd6e590p-3",
+            "-0x1.7bf5a22a2b4a0p+0", "0x1.97c6515be1274p-1", "0x1.ead3a6b717000p-4",
+            "-0x1.11e031a252f10p-1", "0x1.cfefae54da0a4p-1", "-0x1.3c8f6a89a01dcp-1",
+            "-0x1.2b3198549e8e0p-3", "-0x1.2652359953af0p+0", "-0x1.37af447bca290p-2",
+            "-0x1.dcfdab25452e8p-1", "-0x1.7e5162668f5e0p-1",
+        ],
+        "0x1.9b33295f0a322p-1",
+    ),
+    "depolarizing:0.2": (
+        [
+            "0x1.1460a0e370c20p-1", "-0x1.adcec019bed60p-2", "-0x1.274003d46ae48p+0",
+            "0x1.294c10e7c9e1fp+0", "-0x1.47268aba90f08p+0", "-0x1.74b915f561c08p-1",
+            "0x1.53e6826eb0732p+0", "-0x1.f335270caed60p-1", "0x1.b7bb23ba01550p-1",
+            "0x1.ce38fe7808980p-2", "0x1.716085ab1b6b0p-1", "0x1.5af12ae5d1fc0p-3",
+            "-0x1.2c03238c3f5b0p-2", "0x1.2898fa6085d68p-1", "-0x1.3f623b9445bf8p+0",
+            "-0x1.14a22edf23788p-2", "-0x1.1d8378b81cb74p-1", "-0x1.3f8341458e3c8p-2",
+            "-0x1.e56da0672fc60p-1", "-0x1.437768a2fc614p-1",
+        ],
+        "0x1.5f15060d9b80ep-1",
+    ),
+    "phase:0.5": (
+        [
+            "0x1.1460a0e370c20p-1", "-0x1.adcec019bed60p-2", "-0x1.274003d46ae48p+0",
+            "0x1.294c10e7c9e1fp+0", "-0x1.47268aba90f08p+0", "-0x1.74b915f561c08p-1",
+            "0x1.53e6826eb0732p+0", "-0x1.f335270caed60p-1", "0x1.b7bb23ba01550p-1",
+            "0x1.ce38fe7808980p-2", "0x1.716085ab1b6b0p-1", "0x1.5af12ae5d1fc0p-3",
+            "-0x1.2c03238c3f5b0p-2", "0x1.2898fa6085d68p-1", "-0x1.3f623b9445bf8p+0",
+            "-0x1.14a22edf23788p-2", "-0x1.1d8378b81cb74p-1", "-0x1.3f8341458e3c8p-2",
+            "-0x1.e56da0672fc60p-1", "-0x1.437768a2fc614p-1",
+        ],
+        "0x1.7df1fe537aabfp-1",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_TRAINING_DEFAULT_SHAPE_HEX))
+def test_default_shape_training_matches_golden_bits(spec):
+    policy = train_policy(20, NoiseChannel.parse(spec), PsoConfig(seed=1, iterations=3))
+    deltas, sharpness = GOLDEN_TRAINING_DEFAULT_SHAPE_HEX[spec]
+    assert [float(d).hex() for d in policy.deltas] == deltas
+    assert policy.sharpness.hex() == sharpness

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzphase import (
     IDEAL,
@@ -23,7 +25,7 @@ from mzphase import (
     wrap_signed,
 )
 from mzphase import posterior
-from mzphase.harness import write_batch_csv
+from mzphase.harness import STRATEGIES, write_batch_csv
 
 GRID = 1024
 
@@ -274,3 +276,18 @@ def test_write_batch_csv_quoting(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["strategy"] == "go,variant"
     assert float(rows[0]["sigma_est"]) == 0.5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 63),
+    strategy=st.sampled_from(STRATEGIES),
+    spec=st.sampled_from(["ideal", "depolarizing:0.3", "phase:0.7"]),
+    phi_true=st.floats(-10.0, 10.0),
+)
+def test_same_seed_gives_same_bytes(seed, strategy, spec, phi_true):
+    kwargs = dict(sample_channel=NoiseChannel.parse(spec), grid_size=64, seed=[seed])
+    if strategy == "policy":
+        strategy = Policy(0.3 + 0.6 * np.cos(np.arange(12)))
+    first, second = (run_estimation(phi_true, 12, strategy, **kwargs) for _ in range(2))
+    assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())

@@ -103,7 +103,11 @@ def test_sample_outcome_deterministic_cases():
 def test_sample_outcome_fair_coin_at_full_depolarization():
     rng = make_generator(5)
     channel = NoiseChannel.depolarizing(1.0)
-    draws = sample_outcomes(channel, np.ones((1, 10 ** 5)), np.zeros((1, 10 ** 5)), [rng])
+    n = 10 ** 5
+    draws = sample_outcomes(
+        channel, np.ones((1, n)), np.zeros((1, n)), [rng], np.empty((1, channel.draws, n)),
+        np.empty((1, n)),
+    )
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
 
 
@@ -121,7 +125,8 @@ def test_empirical_frequencies_match_marginal(channel, phi, fb):
     n = 10 ** 5
     rng = make_generator(6)
     draws = sample_outcomes(
-        channel, np.full((1, n), math.cos(phi - fb)), np.full((1, n), math.sin(phi - fb)), [rng]
+        channel, np.full((1, n), math.cos(phi - fb)), np.full((1, n), math.sin(phi - fb)), [rng],
+        np.empty((1, channel.draws, n)), np.empty((1, n)),
     )
     p0 = noisy_likelihood(channel, 0, phi, fb)
     tol = 4.0 * math.sqrt(p0 * (1 - p0) / n)

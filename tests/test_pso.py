@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzphase import (
     IDEAL,
@@ -367,3 +370,60 @@ def test_trained_policy_beats_all_zeros_significantly():
     se = 1.0 / math.sqrt(k)
     assert s_trained - s_zeros > 5 * se
     assert s_trained > 0.8
+
+
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.2", "phase:0.5"])
+@pytest.mark.parametrize("size", [1, 7, 41])
+@pytest.mark.parametrize("k_samples", [50, 333, 20000])
+def test_blocked_fitness_equals_row_at_a_time(spec, size, k_samples):
+    # a row draws only from its own generator, so scoring the swarm in
+    # row blocks gives each row's own value and leaves its stream where
+    # scoring it alone does
+    channel = NoiseChannel.parse(spec)
+    positions = make_generator([43, size]).uniform(-1.5, 1.5, (size, 6))
+    blocked_rngs = make_generator(44).spawn(size)
+    blocked = _sharpness(positions, channel, k_samples, blocked_rngs)
+    for i, rng in enumerate(make_generator(44).spawn(size)):
+        alone = _sharpness(positions[i:i + 1], channel, k_samples, [rng])
+        assert blocked[i].hex() == alone[0].hex()
+        assert rng.bit_generator.state == blocked_rngs[i].bit_generator.state
+
+
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.2", "phase:0.5"])
+def test_fitness_evaluation_memory_peak(spec):
+    # one default-size evaluation (40 rows, 1000 samples) peaked at 2.46 MiB
+    # when every probe allocated whole-swarm temporaries
+    positions = make_generator(45).uniform(-1.5, 1.5, (40, 20))
+    rngs = make_generator(46).spawn(40)
+    tracemalloc.start()
+    try:
+        _sharpness(positions, NoiseChannel.parse(spec), 1000, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.46 * 2 ** 20 / 2
+
+
+@pytest.mark.parametrize(
+    "payload", ["[0.1, 0.2]", '{"deltas": [0.1], "channel": "ideal"}'],
+)
+def test_policy_load_rejects_non_object_payloads(tmp_path, payload):
+    path = tmp_path / "policy.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match="JSON object"):
+        Policy.load(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 63),
+    spec=st.sampled_from(["ideal", "depolarizing:0.3", "phase:0.7"]),
+    deltas=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    k_samples=st.integers(1, 3000),
+)
+def test_same_seed_gives_same_sharpness_bits(seed, spec, deltas, k_samples):
+    policy, channel = Policy(deltas), NoiseChannel.parse(spec)
+    first, second = (
+        estimate_sharpness(policy, channel, k_samples, make_generator(seed)) for _ in range(2)
+    )
+    assert first.hex() == second.hex()
