@@ -5,11 +5,13 @@ policy search), ``benchmark`` (batches / phase sweeps with reference
 bounds), ``plot-data`` (reshape results into tidy long-format CSV).
 
 Configuration comes from an optional JSON file (--config) merged with
-command-line overrides; unknown keys are rejected. Every command writes
-a ``meta.json`` with the fully resolved configuration, including the
-seed (drawn and recorded when not supplied), and that file can be fed
-back via --config to reproduce the outputs byte for byte. All outputs
-stay inside the --out directory.
+command-line overrides; unknown keys are rejected, and every option of a
+subcommand is checked once where it enters, against its table row, even
+one that the subcommand or the chosen strategy does not read. Every
+command writes a ``meta.json`` with the fully resolved configuration,
+including the seed (drawn and recorded when not supplied), and that file
+can be fed back via --config to reproduce the outputs byte for byte. All
+outputs stay inside the --out directory.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -30,7 +32,7 @@ from .harness import (
     sweep_phases,
     write_batch_csv,
 )
-from .heuristics import Heuristic
+from .heuristics import GO_FALLBACKS, SIGN_CONVENTIONS, Heuristic
 from .interferometer import NoiseChannel
 from .posterior import DEFAULT_GRID_SIZE
 from .pso import Policy, PsoConfig, train_policy
@@ -42,20 +44,108 @@ class ConfigError(Exception):
 
 # ------------------------------------------------------------------
 # options: one table per subcommand builds its parser, its allowed config
-# keys and its defaults. A row is (key, type, default, help), the type one
-# of int, float, str, bool (a flag), list (one or more values) or a tuple
-# of choices; a key whose default is None stays unset unless given.
+# keys, its defaults and its input check. A row is (key, kind, default,
+# help). The kind is the check that every value of the key passes, from
+# the command line, the config file or the default alike: int (an integer
+# >= 1, or >= _MINIMUM[key]), float (finite), str, bool (a flag), list
+# (one or more strings), a tuple of choices, or a parser (raw, key) ->
+# value. A key whose default is None stays unset (None) unless given.
+
+_MINIMUM = {"seed": 0, "grid_size": 2, "m": 2, "neighborhood_radius": 0}
+
+
+def _integer(raw, key):
+    try:
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise ValueError
+        value = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
+    minimum = _MINIMUM.get(key, 1)
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _finite(raw, key):
+    try:
+        if isinstance(raw, bool):
+            raise ValueError
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
+
+
+def _comma_list(raw, key):
+    """raw as a non-empty list of strings. A string is split on commas,
+    its entries stripped and the empty ones dropped."""
+    if isinstance(raw, str):
+        raw = [item.strip() for item in raw.split(",") if item.strip()]
+    if not isinstance(raw, list) or not raw or not all(isinstance(s, str) for s in raw):
+        raise ConfigError(f"{key} must be one or more strings, got {raw!r}")
+    return raw
+
+
+def _channel(raw, key):
+    if not isinstance(raw, str):
+        raise ConfigError(f"{key} must be a channel spec, got {raw!r}")
+    try:
+        return NoiseChannel.parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"bad {key}: {exc}")
+
+
+def _channels(raw, key):
+    return [_channel(spec, key) for spec in _comma_list(raw, key)]
+
+
+def _strategies(raw, key):
+    return [_check(key, STRATEGIES, name) for name in _comma_list(raw, key)]
+
+
+def _phases(raw, key):
+    """A phase count >= 1, or a non-empty list of finite phases.
+
+    Given as a count, a digit string, a single phase, a comma list or a
+    JSON list.
+    """
+    if isinstance(raw, str):
+        raw = int(raw) if raw.isdecimal() else raw.split(",")
+    if isinstance(raw, list) and raw:
+        return [_finite(phase, key) for phase in raw]
+    if type(raw) is not int or raw < 1:
+        raise ConfigError(f"{key} must be a count >= 1 or a list of phases, got {raw!r}")
+    return raw
+
+
+_PARSERS = {int: _integer, float: _finite, list: _comma_list}
+
+
+def _check(key, kind, raw):
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"{key} must be one of {', '.join(kind)}, got {raw!r}")
+        return raw
+    if kind in (str, bool):
+        if not isinstance(raw, kind):
+            raise ConfigError(f"{key} must be a {kind.__name__}, got {raw!r}")
+        return raw
+    return _PARSERS.get(kind, kind)(raw, key)
+
 
 _COMMON = (
     ("seed", int, None, "base RNG seed (drawn and recorded if absent)"),
     ("out", str, "mzphase-out", "output directory"),
-    ("threads", int, 1, "worker processes for batches"),
+    ("threads", int, 1, "worker processes for batches (only benchmark reads it)"),
 )
 _POSTERIOR = (
-    ("model_channel", str, "ideal", "channel the posterior update assumes"),
+    ("model_channel", _channel, "ideal", "channel the posterior update assumes"),
     ("grid_size", int, DEFAULT_GRID_SIZE, "posterior grid points"),
-    ("sign_convention", ("alternate", "random"), "alternate", "sign of the go offset"),
-    ("go_fallback", ("real-part", "pgh"), "real-part", "go rule where sigma > 0.921"),
+    ("sign_convention", SIGN_CONVENTIONS, "alternate", "sign of the go offset"),
+    ("go_fallback", GO_FALLBACKS, "real-part", "go rule where sigma > 0.921"),
     ("policy_file", str, None, "policy.json for the policy strategy"),
 )
 _OPTIONS = {
@@ -63,23 +153,24 @@ _OPTIONS = {
         ("strategy", STRATEGIES, None, "feedback strategy"),
         ("phi_true", float, None, "true phase"),
         ("n", int, 40, "probes"),
-        ("channel", str, "ideal", "sample channel: ideal, depolarizing:p or phase:kappa"),
+        ("channel", _channel, "ideal", "sample channel: ideal, depolarizing:p or phase:kappa"),
         *_POSTERIOR,
         ("snapshots", bool, False, "dump per-step posterior CSV snapshots"),
     ),
     "train-policy": _COMMON + (
         ("n", int, None, "policy length"),
-        ("channel", str, "ideal", "training channel"),
+        ("channel", _channel, "ideal", "training channel"),
     ) + tuple(
         (f.name, f.type, None, f"swarm setting (default: {f.default:g})")
         for f in fields(PsoConfig) if f.name != "seed"
     ),
     "benchmark": _COMMON + (
-        ("strategies", str, None, "comma list of " + ",".join(STRATEGIES) + " (default: go)"),
+        ("strategies", _strategies, None,
+         "comma list of " + ",".join(STRATEGIES) + " (default: go)"),
         ("n", int, 40, "probes per run"),
         ("m", int, 100, "runs per phase"),
-        ("phases", str, 20, "phase count or comma list of phases"),
-        ("channels", str, ["ideal"], "comma list of channel specs"),
+        ("phases", _phases, 20, "phase count or comma list of phases"),
+        ("channels", _channels, ["ideal"], "comma list of channel specs"),
         *_POSTERIOR,
     ),
     "plot-data": _COMMON + (
@@ -90,6 +181,9 @@ _OPTIONS = {
 
 
 def _load_config(command, args):
+    """(config, opts): the configuration merged as command line > config
+    file > default, which meta.json echoes, and every key of the
+    subcommand's table mapped to its checked value, None when unset."""
     config = {}
     if args.config:
         try:
@@ -106,7 +200,6 @@ def _load_config(command, args):
     for key in config:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {key!r}")
-    # precedence: command line > config file > default
     merged = {key: default for key, _, default, _ in options if default is not None}
     merged.update(config)
     for key, value in vars(args).items():
@@ -114,79 +207,24 @@ def _load_config(command, args):
             merged[key] = value
     if merged.get("seed") is None:
         merged["seed"] = secrets.randbits(63)
-    return merged
+    checked = {
+        key: None if merged.get(key) is None and default is None
+        else _check(key, kind, merged.get(key))
+        for key, kind, default, _ in options
+    }
+    return merged, checked
 
 
-def _require(config, key):
-    if config.get(key) is None:
+def _require(opts, key):
+    if opts[key] is None:
         raise ConfigError(f"missing required config key: {key!r}")
-    return config[key]
+    return opts[key]
 
 
-def _parse_channel(spec, key):
-    try:
-        return NoiseChannel.parse(str(spec))
-    except ValueError as exc:
-        raise ConfigError(f"bad {key}: {exc}")
-
-
-def _positive_int(config, key, minimum=1):
-    raw = config.get(key)
-    try:
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-            raise ValueError
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {raw!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _finite(raw, key):
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}")
-    return value
-
-
-def _phases(config):
-    """A phase count >= 1, or a non-empty list of finite phases.
-
-    Given as a count, a digit string, a single phase, a comma list or a
-    JSON list.
-    """
-    raw = config["phases"]
-    if isinstance(raw, str):
-        raw = int(raw) if raw.isdecimal() else raw.split(",")
-    if isinstance(raw, list) and raw:
-        return [_finite(phase, "phases") for phase in raw]
-    if type(raw) is not int or raw < 1:
-        raise ConfigError(f"phases must be a count >= 1 or a list of phases, got {raw!r}")
-    return raw
-
-
-def _comma_list(config, key, default=None):
-    """config[key] (or default when unset) as a list. A string is split on
-    commas, its entries stripped and the empty ones dropped; an empty list
-    or another type is a config error."""
-    raw = config.get(key, default)
-    if isinstance(raw, str):
-        raw = [item.strip() for item in raw.split(",") if item.strip()]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{key} must name at least one entry, got {raw!r}")
-    return raw
-
-
-def _resolve_strategy(name, config, n):
+def _resolve_strategy(name, opts, n):
     """The strategy to run for n probes: a name, a Heuristic or a Policy."""
-    if name not in STRATEGIES:
-        raise ConfigError(f"unknown strategy: {name!r}")
     if name == "policy":
-        path = _require(config, "policy_file")
+        path = _require(opts, "policy_file")
         try:
             policy = Policy.load(path)
         except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
@@ -195,21 +233,13 @@ def _resolve_strategy(name, config, n):
             raise ConfigError(f"policy file {path!r} has {policy.n} increments, fewer than n={n}")
         return policy
     if name in ("go", "pgh"):
-        try:
-            return Heuristic(
-                kind=name,
-                go_fallback=config["go_fallback"],
-                sign_convention=config["sign_convention"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return Heuristic(name, opts["go_fallback"], opts["sign_convention"])
     return name
 
 
-def _out_path(config, *parts):
-    out = config["out"]
-    os.makedirs(os.path.join(out, *parts[:-1]), exist_ok=True)
-    return os.path.join(out, *parts)
+def _out_path(opts, *parts):
+    os.makedirs(os.path.join(opts["out"], *parts[:-1]), exist_ok=True)
+    return os.path.join(opts["out"], *parts)
 
 
 def _write_meta(config):
@@ -220,36 +250,27 @@ def _write_meta(config):
 
 
 # ------------------------------------------------------------------
-# commands
+# commands: each reads the checked values of its options
 
 def cmd_estimate(args):
     """run one estimation trajectory"""
-    config = _load_config("estimate", args)
-    strategy_name = _require(config, "strategy")
-    phi_true = _finite(_require(config, "phi_true"), "phi_true")
-    n = _positive_int(config, "n")
-    grid_size = _positive_int(config, "grid_size", minimum=2)
-    strategy = _resolve_strategy(strategy_name, config, n)
-    sample_channel = _parse_channel(config["channel"], "channel")
-    model_channel = _parse_channel(config["model_channel"], "model_channel")
+    config, opts = _load_config("estimate", args)
+    n = opts["n"]
+    strategy = _resolve_strategy(_require(opts, "strategy"), opts, n)
+    phi_true = _require(opts, "phi_true")
 
     snapshot = None
-    if config["snapshots"]:
+    if opts["snapshots"]:
 
         def snapshot(k, grid):
-            grid.dump_csv(_out_path(config, "snapshots", f"step_{k:04d}.csv"))
+            grid.dump_csv(_out_path(opts, "snapshots", f"step_{k:04d}.csv"))
 
     record = run_estimation(
-        phi_true,
-        n,
-        strategy,
-        sample_channel=sample_channel,
-        model_channel=model_channel,
-        grid_size=grid_size,
-        seed=[_positive_int(config, "seed", minimum=0)],
-        snapshot=snapshot,
+        phi_true, n, strategy, sample_channel=opts["channel"],
+        model_channel=opts["model_channel"], grid_size=opts["grid_size"],
+        seed=[opts["seed"]], snapshot=snapshot,
     )
-    record.write_json(_out_path(config, "run.json"))
+    record.write_json(_out_path(opts, "run.json"))
     _write_meta(config)
     final_sigma = record.sigmas[-1]
     sigma_text = "n/a" if math.isnan(final_sigma) else f"{final_sigma:.6f}"
@@ -262,25 +283,17 @@ def cmd_estimate(args):
 
 def cmd_train_policy(args):
     """train an offline feedback policy"""
-    config = _load_config("train-policy", args)
-    n = _positive_int(config, "n")
-    channel = _parse_channel(config["channel"], "channel")
-    pso_kwargs = {}
-    for f in fields(PsoConfig):
-        if f.name != "seed" and config.get(f.name) is not None:
-            pso_kwargs[f.name] = (
-                _positive_int(config, f.name, minimum=0)
-                if f.type is int
-                else _finite(config[f.name], f.name)
-            )
-    seed = _positive_int(config, "seed", minimum=0)
+    config, opts = _load_config("train-policy", args)
+    n = _require(opts, "n")
+    swarm = {f.name: opts[f.name] for f in fields(PsoConfig)
+             if f.name != "seed" and opts[f.name] is not None}
     try:
-        pso_config = PsoConfig(seed=seed, **pso_kwargs).validate()
+        pso_config = PsoConfig(seed=opts["seed"], **swarm).validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    policy = train_policy(n, channel=channel, config=pso_config)
-    path = _out_path(config, "policy.json")
+    policy = train_policy(n, channel=opts["channel"], config=pso_config)
+    path = _out_path(opts, "policy.json")
     policy.save(path)
     _write_meta(config)
     holevo = 1.0 / policy.sharpness ** 2 - 1.0
@@ -293,35 +306,19 @@ def cmd_train_policy(args):
 
 def cmd_benchmark(args):
     """batch statistics over phases and channels"""
-    config = _load_config("benchmark", args)
-    strategies = _comma_list(config, "strategies", default=["go"])
-    n = _positive_int(config, "n")
-    m = _positive_int(config, "m", minimum=2)
-    grid_size = _positive_int(config, "grid_size", minimum=2)
-    phases = _phases(config)
-    channels = _comma_list(config, "channels")
-    model_channel = _parse_channel(config["model_channel"], "model_channel")
-    resolved = [(name, _resolve_strategy(name, config, n)) for name in strategies]
-    seed = _positive_int(config, "seed", minimum=0)
-    threads = _positive_int(config, "threads")
+    config, opts = _load_config("benchmark", args)
+    n, m = opts["n"], opts["m"]
+    resolved = [(name, _resolve_strategy(name, opts, n)) for name in opts["strategies"] or ["go"]]
 
     rows = []
     summary = []
-    for channel_spec in channels:
-        channel = _parse_channel(channel_spec, "channels")
+    for channel in opts["channels"]:
         reference = reference_curves(channel, [n])[0]
         for name, strategy in resolved:
             results = sweep_phases(
-                strategy,
-                n,
-                phases,
-                m,
-                sample_channel=channel,
-                model_channel=model_channel,
-                grid_size=grid_size,
-                base_seed=seed,
-                workers=threads,
-                keep_records=False,
+                strategy, n, opts["phases"], m, sample_channel=channel,
+                model_channel=opts["model_channel"], grid_size=opts["grid_size"],
+                base_seed=opts["seed"], workers=opts["threads"], keep_records=False,
             )
             # columns left out of a row are written empty
             common = {"strategy": name, "channel": channel.spec(), "n": n,
@@ -345,10 +342,10 @@ def cmd_benchmark(args):
                 "quad_loss": sum(b.stats.quad_loss for b in results) / len(results),
             })
 
-    write_batch_csv(_out_path(config, "benchmark.csv"), rows)
-    write_batch_csv(_out_path(config, "summary.csv"), summary)
+    write_batch_csv(_out_path(opts, "benchmark.csv"), rows)
+    write_batch_csv(_out_path(opts, "summary.csv"), summary)
     _write_meta(config)
-    print(f"benchmark: {len(rows)} rows -> {_out_path(config, 'benchmark.csv')}")
+    print(f"benchmark: {len(rows)} rows -> {_out_path(opts, 'benchmark.csv')}")
     return 0
 
 
@@ -386,9 +383,9 @@ def _plot_rows_from_batch(path, figure_id):
 
 def cmd_plot_data(args):
     """reshape results into tidy CSV"""
-    config = _load_config("plot-data", args)
-    inputs = _comma_list(config, "inputs")
-    figure_id = _require(config, "figure_id")
+    config, opts = _load_config("plot-data", args)
+    inputs = _require(opts, "inputs")
+    figure_id = _require(opts, "figure_id")
 
     rows = []
     for path in inputs:
@@ -405,7 +402,7 @@ def cmd_plot_data(args):
             print(f"plot-data: malformed input {path}: {exc}", file=sys.stderr)
             return 3
 
-    out_csv = _out_path(config, "plotdata.csv")
+    out_csv = _out_path(opts, "plotdata.csv")
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["figure_id", "series", "x", "y", "yerr"])
@@ -431,7 +428,7 @@ def _add_options(parser, options):
             kwargs["nargs"] = "+"
         elif isinstance(kind, tuple):
             kwargs["choices"] = kind
-        elif kind is not str:
+        elif kind in (int, float):
             kwargs["type"] = kind
         parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 

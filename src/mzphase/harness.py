@@ -254,10 +254,6 @@ def run_estimation(
     )
 
 
-def _run_seeded(kwargs, seed):
-    return run_estimation(**kwargs, seed=seed)
-
-
 def run_batch(
     phi_true,
     n,
@@ -278,14 +274,9 @@ def run_batch(
     """
     if m < 2:
         raise ValueError("need m >= 2 runs")
-    run = functools.partial(_run_seeded, dict(
-        phi_true=phi_true,
-        n=n,
-        strategy=strategy,
-        sample_channel=sample_channel,
-        model_channel=model_channel,
-        grid_size=grid_size,
-    ))
+    run = functools.partial(
+        run_estimation, phi_true, n, strategy, sample_channel, model_channel, grid_size
+    )
     seeds = [[base_seed, phase_index, i] for i in range(m)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

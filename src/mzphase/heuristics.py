@@ -28,6 +28,8 @@ from .posterior import UndefinedMeanError
 
 __all__ = [
     "SIGMA_VALID_MAX",
+    "GO_FALLBACKS",
+    "SIGN_CONVENTIONS",
     "Heuristic",
     "offset_coefficient",
     "feedback_offset",
@@ -38,6 +40,10 @@ __all__ = [
 
 # largest sigma for which the arccos argument stays inside [-1, 1]
 SIGMA_VALID_MAX = 0.921
+
+# the choices of Heuristic.go_fallback and Heuristic.sign_convention
+GO_FALLBACKS = ("real-part", "pgh")
+SIGN_CONVENTIONS = ("alternate", "random")
 
 
 def offset_coefficient(sigma):
@@ -90,9 +96,9 @@ class Heuristic:
     def __post_init__(self):
         if self.kind not in ("go", "pgh"):
             raise ValueError(f"unknown heuristic kind: {self.kind!r}")
-        if self.go_fallback not in ("real-part", "pgh"):
+        if self.go_fallback not in GO_FALLBACKS:
             raise ValueError(f"unknown go fallback: {self.go_fallback!r}")
-        if self.sign_convention not in ("alternate", "random"):
+        if self.sign_convention not in SIGN_CONVENTIONS:
             raise ValueError(f"unknown sign convention: {self.sign_convention!r}")
 
 

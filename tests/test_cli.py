@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from mzphase import cli
 _PACKAGE_ROOT = str(Path(mzphase.__file__).resolve().parents[1])
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, **kwargs):
     pythonpath = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]
     return subprocess.run(
         [sys.executable, "-m", "mzphase.cli", *args],
@@ -25,6 +26,7 @@ def run_cli(*args, cwd):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+        **kwargs,
     )
 
 
@@ -490,3 +492,63 @@ def test_policy_shorter_than_n_is_config_error(tmp_path, command):
         "--grid-size", "64", "--out", "out", cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
+
+
+# A config each subcommand runs with, so that the one bad value given on
+# top of it is the only fault.
+VALID_CONFIG = {
+    "estimate": {"strategy": "inversion", "phi_true": 1.0, "n": 2},
+    "train-policy": {"n": 2, "swarm_size": 2, "iterations": 1, "fitness_samples": 5},
+    "benchmark": {"strategies": "inversion", "n": 2, "m": 2, "phases": 1, "grid_size": 64},
+    "plot-data": {"inputs": ["run.json"], "figure_id": "f"},
+}
+
+
+def bad_values(key, kind):
+    """Values the row (key, kind) must reject: of the wrong kind (a parser
+    row gets an object), below an int's minimum, outside a row's choices,
+    or a bool or an integer too large for a float where a float is due."""
+    if key == "policy_file":
+        return [0]  # open(0) would read the policy from stdin
+    if kind is int:
+        return ["x", cli._MINIMUM.get(key, 1) - 1]
+    if isinstance(kind, tuple):
+        return [5, "bogus"]
+    return {float: ["x", True, 10**400], str: [5, [1, 2]], bool: ["false"],
+            list: [[5]]}.get(kind, [{}])
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIG))
+def test_valid_config_runs(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('{"strategy": "go", "steps": []}')
+    (tmp_path / "config.json").write_text(json.dumps(VALID_CONFIG[command]))
+    assert cli.main([command, "--config", "config.json", "--seed", "1", "--out", "out"]) == 0
+
+
+@pytest.mark.parametrize("command,key,value", [
+    pytest.param(command, key, value, id=f"{command}-{key}-{json.dumps(value)[:12]}")
+    for command, options in cli._OPTIONS.items()
+    for key, kind, _, _ in options
+    for value in bad_values(key, kind)
+])
+def test_every_option_is_checked_where_it_enters(command, key, value, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('{"strategy": "go", "steps": []}')
+    config = {"seed": 1, **VALID_CONFIG[command], key: value}
+    args = [command, "--config", "config.json", *([] if key == "out" else ["--out", "out"])]
+    if key == "policy_file":
+        # with the policy strategy, so that the file is read; in a child
+        # whose stdin is empty, so that a read of fd 0 cannot hang
+        config["strategies" if command == "benchmark" else "strategy"] = "policy"
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        result = run_cli(*args, cwd=tmp_path, stdin=subprocess.DEVNULL)
+        code, err = result.returncode, result.stderr
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code = cli.main(args)
+        err = capsys.readouterr().err
+    assert code == 2, err
+    assert re.search(rf"\b{key}\b", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.json"]
