@@ -6,6 +6,14 @@ run_index) draws every random quantity from
 batches are reproducible run by run and safe to evaluate in a worker
 pool; aggregation always happens in run-index order.
 
+One loop runs every strategy, over a block of runs in lockstep: at each
+probe step every run draws its feedback and its outcome from its own
+generator, with the same calls in the same order as a run alone; then
+one posterior update advances the whole block (see posterior). A batch
+advances contiguous blocks of runs, as many as fit a fixed budget of
+grid points; run_estimation is a block of one, on a one-posterior grid.
+A run's bits depend neither on the block size nor on its neighbours.
+
 Strategies:
 
 * 'go' / 'pgh' (or an explicit Heuristic): online Bayesian estimation,
@@ -170,6 +178,12 @@ def _resolve_strategy(strategy):
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
+# grid points a batch advances at once: blocks of max(1, _BLOCK_POINTS // G)
+# runs, so a default-grid run stays alone and a block holds no more memory
+# than one default-grid posterior
+_BLOCK_POINTS = 2 ** 15
+
+
 def run_estimation(
     phi_true,
     n,
@@ -193,6 +207,24 @@ def run_estimation(
     the previous step's estimate (the feedback at step 1) and a NaN
     sigma, and the next probe breaks the symmetry.
     """
+    entropy = [seed] if np.isscalar(seed) else list(seed)
+    [record] = _run_rows(
+        phi_true, n, strategy, sample_channel, model_channel, grid_size, [entropy], snapshot
+    )
+    return record
+
+
+def _run_rows(
+    phi_true, n, strategy, sample_channel, model_channel, grid_size, seeds, snapshot=None
+):
+    """The runs seeded by the entropy lists in seeds, one per row, as
+    run_estimation describes them, advanced in lockstep.
+
+    At each step every row draws its feedback and its outcome from its
+    own generator, with the calls and in the order of a lone run; then
+    one update advances the posteriors of all rows, and each row takes
+    its summary from its own row grid.
+    """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
     phi_true = float(phi_true)
@@ -204,54 +236,68 @@ def run_estimation(
     if model_channel is None:
         model_channel = IDEAL
     phi_true = wrap_phase(phi_true)
-    entropy = [seed] if np.isscalar(seed) else list(seed)
-    rng = make_generator(entropy)
+    rngs = [make_generator(entropy) for entropy in seeds]
+    rows = len(rngs)
 
-    feedbacks = np.empty(n)
-    outcomes = np.empty(n, dtype=np.int64)
-    estimates = np.empty(n)
-    sigmas = np.full(n, math.nan)
+    feedbacks = np.empty((rows, n))
+    outcomes = np.empty((rows, n), dtype=np.int64)
+    estimates = np.empty((rows, n))
+    sigmas = np.full((rows, n), math.nan)
 
     # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
     online = label in ("go", "pgh")
     grid = None
     if online or label == "bayes-fixed":
+        # a lone run keeps a one-posterior grid: at 2^17 the (1, G) block's
+        # update cost 3-5% of a bayes-fixed run
         support = None if online else (0.0, math.pi)
-        grid = PosteriorGrid.uniform(grid_size, support=support)
-    fb, x, n0 = 0.0, 0, 0  # a policy starts from Phi_0 = 0 and x_0 = 0
+        grid = PosteriorGrid.uniform(grid_size, support=support, rows=rows if rows > 1 else None)
+        views = grid.rows
+    # a policy starts from Phi_0 = 0 and x_0 = 0
+    fb, x, n0 = [0.0] * rows, [0] * rows, [0] * rows
     for k in range(1, n + 1):
-        if label == "policy":
-            fb = apply_policy_step(resolved, fb, x, k)
-        elif online:
-            fb = next_feedback(resolved, grid, k, rng)
-        x = sample_outcome(sample_channel, phi_true, fb, rng)
-        feedbacks[k - 1] = fb
-        outcomes[k - 1] = x
+        for r, rng in enumerate(rngs):
+            if label == "policy":
+                fb[r] = apply_policy_step(resolved, fb[r], x[r], k)
+            elif online:
+                fb[r] = next_feedback(resolved, views[r], k, rng)
+            x[r] = sample_outcome(sample_channel, phi_true, fb[r], rng)
+        feedbacks[:, k - 1] = fb
+        outcomes[:, k - 1] = x
         if grid is not None:
-            grid.update(x, fb, model_channel)
-            if snapshot is not None:
-                snapshot(k, grid)
-            try:
-                estimates[k - 1], sigmas[k - 1] = grid.gaussian_summary()
-            except UndefinedMeanError:  # zero resultant: keep the last estimate
-                estimates[k - 1] = estimates[k - 2] if k > 1 else fb
+            if rows > 1:
+                grid.update(outcomes[:, k - 1], feedbacks[:, k - 1] if online else 0.0,
+                            model_channel)
+            else:
+                grid.update(x[0], fb[0] if online else 0.0, model_channel)
+            for r, row in enumerate(views):
+                if snapshot is not None:
+                    snapshot(k, row)
+                try:
+                    estimates[r, k - 1], sigmas[r, k - 1] = row.gaussian_summary()
+                except UndefinedMeanError:  # zero resultant: keep the last estimate
+                    estimates[r, k - 1] = estimates[r, k - 2] if k > 1 else fb[r]
         elif label == "policy":
-            estimates[k - 1] = fb
+            estimates[:, k - 1] = fb
         else:
-            n0 += x == 0
-            estimates[k - 1] = inversion_estimate(n0, k)
+            for r in range(rows):
+                n0[r] += x[r] == 0
+                estimates[r, k - 1] = inversion_estimate(n0[r], k)
 
-    return RunRecord(
-        phi_true=phi_true,
-        strategy=label,
-        sample_channel=sample_channel,
-        model_channel=model_channel,
-        seed=tuple(entropy),
-        feedbacks=feedbacks,
-        outcomes=outcomes,
-        estimates=estimates,
-        sigmas=sigmas,
-    )
+    return [
+        RunRecord(
+            phi_true=phi_true,
+            strategy=label,
+            sample_channel=sample_channel,
+            model_channel=model_channel,
+            seed=tuple(entropy),
+            feedbacks=feedbacks[r],
+            outcomes=outcomes[r],
+            estimates=estimates[r],
+            sigmas=sigmas[r],
+        )
+        for r, entropy in enumerate(seeds)
+    ]
 
 
 def run_batch(
@@ -268,21 +314,27 @@ def run_batch(
 ):
     """M independent runs at one true phase; returns (BatchStats, records).
 
-    Run i is seeded by [base_seed, phase_index, i]. With workers > 1 the
-    runs are evaluated in a process pool, whose map returns them in run
-    order, so the aggregate does not depend on scheduling.
+    Run i is seeded by [base_seed, phase_index, i]. Contiguous blocks of
+    runs advance in lockstep; each run draws only from its own
+    generator, so the block size moves no bit. With workers > 1 the
+    blocks are evaluated in a process pool, whose map returns them in
+    run order, so the aggregate does not depend on scheduling.
     """
     if m < 2:
         raise ValueError("need m >= 2 runs")
-    run = functools.partial(
-        run_estimation, phi_true, n, strategy, sample_channel, model_channel, grid_size
-    )
+    size = max(1, _BLOCK_POINTS // grid_size)
+    if workers > 1:  # at least one block per worker
+        size = min(size, -(-m // workers))
     seeds = [[base_seed, phase_index, i] for i in range(m)]
+    blocks = [seeds[i:i + size] for i in range(0, m, size)]
+    run = functools.partial(
+        _run_rows, phi_true, n, strategy, sample_channel, model_channel, grid_size
+    )
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run, seeds, chunksize=8))
+            records = [r for block in pool.map(run, blocks) for r in block]
     else:
-        records = [run(seed) for seed in seeds]
+        records = [r for block in map(run, blocks) for r in block]
     stats = BatchStats.from_estimates([r.final_estimate for r in records], phi_true)
     return stats, records
 

@@ -136,12 +136,22 @@ def noisy_likelihood(channel, x, phi, feedback, out=None):
     every intermediate goes there too; without it a new one is returned.
     Without a fair coin (q == 0, so v == 1) this is p(x) itself, with no
     further pass over it.
+
+    For a block of rows, x holds one outcome per row and feedback one
+    phase per row as a column, shape (rows, 1); outcome 1 then takes
+    its own pass over each of its rows.
     """
     c = np.subtract(phi, feedback, out=out)
     c = np.multiply(c, 0.5, out=out)
     c = np.cos(c, out=out)
     p0 = np.multiply(c, c, out=out)
-    p = p0 if x == 0 else np.subtract(1.0, p0, out=out)
+    if isinstance(x, np.ndarray):
+        for row, click in zip(p0, x):
+            if click:
+                np.subtract(1.0, row, out=row)
+        p = p0
+    else:
+        p = p0 if x == 0 else np.subtract(1.0, p0, out=out)
     q = channel.fair_weight
     if q == 0.0:
         return p

@@ -24,7 +24,7 @@ from mzphase import (
     train_policy,
     wrap_signed,
 )
-from mzphase import posterior
+from mzphase import harness, posterior
 from mzphase.harness import STRATEGIES, write_batch_csv
 
 GRID = 1024
@@ -170,9 +170,100 @@ def test_run_batch_reproducible_and_unbiased():
 
 
 def test_run_batch_worker_pool_matches_serial():
-    serial, _ = run_batch(1.0, 8, "pgh", m=8, grid_size=256, base_seed=10, workers=1)
-    pooled, _ = run_batch(1.0, 8, "pgh", m=8, grid_size=256, base_seed=10, workers=2)
-    assert serial == pooled
+    # the pool maps contiguous row blocks: 2 of 4 runs here
+    for strategy in ("pgh", "go", "bayes-fixed"):
+        serial, serial_records = run_batch(1.0, 8, strategy, m=8, grid_size=256, base_seed=10,
+                                           workers=1)
+        pooled, pooled_records = run_batch(1.0, 8, strategy, m=8, grid_size=256, base_seed=10,
+                                           workers=2)
+        assert serial == pooled, strategy
+        assert [r.to_dict() for r in serial_records] == [r.to_dict() for r in pooled_records]
+
+
+def _record_generators(monkeypatch):
+    """Keep every run generator the harness makes, in the order made."""
+    made = []
+
+    def make_generator(entropy, original=harness.make_generator):
+        made.append(original(entropy))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "make_generator", make_generator)
+    return made
+
+
+def _same_bits(a, b):
+    assert a.seed == b.seed
+    for name in ("feedbacks", "outcomes", "estimates", "sigmas"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (a.seed, name)
+
+
+_ROW_STRATEGIES = {
+    "go": "go",
+    "pgh": "pgh",
+    "policy": Policy(0.3 + 0.6 * np.cos(np.arange(12))),
+    "inversion": "inversion",
+    "bayes-fixed": "bayes-fixed",
+    # heuristics whose number of draws per step depends on the posterior
+    "go-pgh-fallback": Heuristic(go_fallback="pgh"),
+    "go-random-sign": Heuristic(sign_convention="random"),
+}
+
+
+@pytest.mark.parametrize("model_is_sample", [False, True])
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.1", "phase:0.3"])
+@pytest.mark.parametrize("name", sorted(_ROW_STRATEGIES))
+@pytest.mark.parametrize("grid_size", [64, 1024])
+def test_batch_rows_equal_lone_runs(grid_size, name, spec, model_is_sample, monkeypatch):
+    # 37 runs: one partial block at G=64 (512 rows a block), 32 + 5 at G=1024
+    channel = NoiseChannel.parse(spec)
+    model = channel if model_is_sample else None
+    strategy = _ROW_STRATEGIES[name]
+    made = _record_generators(monkeypatch)
+    _, records = run_batch(2.2, 12, strategy, 37, sample_channel=channel, model_channel=model,
+                           grid_size=grid_size, base_seed=4, phase_index=3)
+    batch_states = [g.bit_generator.state for g in made]
+    made.clear()
+    for i, record in enumerate(records):
+        alone = run_estimation(2.2, 12, strategy, channel, model, grid_size, seed=[4, 3, i])
+        _same_bits(record, alone)
+        assert made[-1].bit_generator.state == batch_states[i]
+    assert len(made) == len(records) == 37
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32),
+    m=st.integers(2, 20),
+    rows=st.integers(1, 20),
+    strategy=st.sampled_from(STRATEGIES),
+)
+def test_block_size_moves_no_bit(seed, m, rows, strategy):
+    if strategy == "policy":
+        strategy = Policy(0.3 + 0.6 * np.cos(np.arange(6)))
+    kept = harness._BLOCK_POINTS
+    harness._BLOCK_POINTS = rows * 64  # blocks of `rows` runs
+    try:
+        _, records = run_batch(0.7, 6, strategy, m, sample_channel=NoiseChannel.phase(0.4),
+                               grid_size=64, base_seed=seed, phase_index=1)
+    finally:
+        harness._BLOCK_POINTS = kept
+    for i, record in enumerate(records):
+        _same_bits(record, run_estimation(0.7, 6, strategy, NoiseChannel.phase(0.4), None, 64,
+                                          seed=[seed, 1, i]))
+
+
+def test_zero_resultant_row_leaves_its_block_neighbours_alone():
+    # found by search: run 15 of this batch redraws an antipode at step 2
+    _, records = run_batch(1.0, 2, "pgh", 37, grid_size=1024, base_seed=40, phase_index=0)
+    hit = [i for i, r in enumerate(records) if np.isnan(r.sigmas).any()]
+    assert hit == [15]
+    record = records[15]
+    assert np.isnan(record.sigmas[1]) and not np.isnan(record.sigmas[0])
+    assert record.estimates[1] == record.estimates[0]
+    for i, record in enumerate(records):
+        _same_bits(record, run_estimation(1.0, 2, "pgh", grid_size=1024, seed=[40, 0, i]))
 
 
 def test_sweep_single_phase_matches_run_batch():

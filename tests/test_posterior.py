@@ -306,6 +306,38 @@ def test_repeated_updates_keep_the_bits_of_the_full_grid_product(support):
         assert not np.signbit(grid.weights).any()
 
 
+@pytest.mark.parametrize("channel", [IDEAL, NoiseChannel.depolarizing(0.1), NoiseChannel.phase(0.3)])
+@pytest.mark.parametrize("support", [None, (0.0, math.pi)])
+def test_block_rows_update_like_lone_grids(channel, support):
+    # one feedback per row, then a shared one repeated, as bayes-fixed gives
+    rng = make_generator(19)
+    block = PosteriorGrid.uniform(512, support=support, rows=5)
+    lone = [PosteriorGrid.uniform(512, support=support) for _ in range(5)]
+    for step in range(14):
+        xs = rng.integers(0, 2, 5)
+        fbs = rng.uniform(0, TWO_PI, 5) if step < 7 else np.zeros(5)
+        block.update(xs, fbs if step < 7 else 0.0, channel)
+        for grid, x, fb in zip(lone, xs, fbs):
+            grid.update(int(x), float(fb), channel)
+        for row, grid in zip(block.rows, lone):
+            assert row.weights.tobytes() == grid.weights.tobytes()
+            assert row.gaussian_summary() == grid.gaussian_summary()
+            assert np.shares_memory(row.weights, block.weights)
+    twin = block.copy()
+    assert [r.weights.tobytes() for r in twin.rows] == [r.weights.tobytes() for r in block.rows]
+    assert not np.shares_memory(twin.weights, block.weights)
+
+
+def test_block_rows_are_their_own_grids():
+    grid = PosteriorGrid.uniform(8)
+    assert grid.rows == (grid,)
+    block = PosteriorGrid.uniform(8, support=(0.0, math.pi), rows=3)
+    assert block.weights.shape == (3, 8) and block.grid_size == 8
+    assert [r.weights.tolist() for r in block.rows] == [[0.2] * 5 + [0.0] * 3] * 3
+    with pytest.raises(ValueError):
+        PosteriorGrid.uniform(8, rows=0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([None, (0.0, math.pi), (1.0, 2.5)]),
