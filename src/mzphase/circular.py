@@ -34,9 +34,13 @@ def holevo_sigma(angles):
     """Square root of the Holevo variance S^-2 - 1 of a sample of angles,
     S = |mean(e^{i theta})| its sharpness.
 
-    Returns inf when the sample resultant vanishes.
+    Returns inf when the sample resultant vanishes; an empty sample or a
+    non-finite angle raises ValueError.
     """
-    s = float(abs(np.exp(1j * np.asarray(angles, dtype=float)).mean()))
+    angles = np.asarray(angles, dtype=float)
+    if angles.size == 0 or not np.isfinite(angles).all():
+        raise ValueError("holevo_sigma needs a non-empty sample of finite angles")
+    s = float(abs(np.exp(1j * angles).mean()))
     if s < 1e-15:
         return math.inf
     return math.sqrt(max(1.0 / (s * s) - 1.0, 0.0))

@@ -32,7 +32,7 @@ from .harness import (
     sweep_phases,
     write_batch_csv,
 )
-from .heuristics import GO_FALLBACKS, SIGN_CONVENTIONS, Heuristic
+from .heuristics import GO_FALLBACKS, HEURISTIC_KINDS, SIGN_CONVENTIONS, Heuristic
 from .interferometer import NoiseChannel
 from .posterior import DEFAULT_GRID_SIZE
 from .pso import Policy, PsoConfig, train_policy
@@ -232,7 +232,7 @@ def _resolve_strategy(name, opts, n):
         if policy.n < n:
             raise ConfigError(f"policy file {path!r} has {policy.n} increments, fewer than n={n}")
         return policy
-    if name in ("go", "pgh"):
+    if name in HEURISTIC_KINDS:
         return Heuristic(name, opts["go_fallback"], opts["sign_convention"])
     return name
 

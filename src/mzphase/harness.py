@@ -11,7 +11,7 @@ probe step every run draws its feedback and its outcome from its own
 generator, with the same calls in the same order as a run alone; then
 one posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
-grid points; run_estimation is a block of one, on a one-posterior grid.
+grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
 
 Strategies:
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circular import TWO_PI, holevo_sigma, wrap_phase, wrap_signed
-from .heuristics import Heuristic, next_feedback
+from .heuristics import HEURISTIC_KINDS, Heuristic, next_feedback
 from .interferometer import (
     IDEAL,
     NoiseChannel,
@@ -171,7 +171,7 @@ def _resolve_strategy(strategy):
         return "policy", strategy
     if isinstance(strategy, Heuristic):
         return strategy.kind, strategy
-    if strategy in ("go", "pgh"):
+    if strategy in HEURISTIC_KINDS:
         return strategy, Heuristic(kind=strategy)
     if strategy in STRATEGIES and strategy != "policy":  # a policy is an object
         return strategy, strategy
@@ -245,13 +245,11 @@ def _run_rows(
     sigmas = np.full((rows, n), math.nan)
 
     # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
-    online = label in ("go", "pgh")
+    online = label in HEURISTIC_KINDS
     grid = None
     if online or label == "bayes-fixed":
-        # a lone run keeps a one-posterior grid: at 2^17 the (1, G) block's
-        # update cost 3-5% of a bayes-fixed run
         support = None if online else (0.0, math.pi)
-        grid = PosteriorGrid.uniform(grid_size, support=support, rows=rows if rows > 1 else None)
+        grid = PosteriorGrid.uniform(grid_size, support=support, rows=rows)
         views = grid.rows
     # a policy starts from Phi_0 = 0 and x_0 = 0
     fb, x, n0 = [0.0] * rows, [0] * rows, [0] * rows
@@ -265,11 +263,7 @@ def _run_rows(
         feedbacks[:, k - 1] = fb
         outcomes[:, k - 1] = x
         if grid is not None:
-            if rows > 1:
-                grid.update(outcomes[:, k - 1], feedbacks[:, k - 1] if online else 0.0,
-                            model_channel)
-            else:
-                grid.update(x[0], fb[0] if online else 0.0, model_channel)
+            grid.update(outcomes[:, k - 1], feedbacks[:, k - 1] if online else 0.0, model_channel)
             for r, row in enumerate(views):
                 if snapshot is not None:
                     snapshot(k, row)

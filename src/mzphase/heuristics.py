@@ -28,6 +28,7 @@ from .posterior import UndefinedMeanError
 
 __all__ = [
     "SIGMA_VALID_MAX",
+    "HEURISTIC_KINDS",
     "GO_FALLBACKS",
     "SIGN_CONVENTIONS",
     "Heuristic",
@@ -41,7 +42,8 @@ __all__ = [
 # largest sigma for which the arccos argument stays inside [-1, 1]
 SIGMA_VALID_MAX = 0.921
 
-# the choices of Heuristic.go_fallback and Heuristic.sign_convention
+# the choices of Heuristic.kind, Heuristic.go_fallback and Heuristic.sign_convention
+HEURISTIC_KINDS = ("go", "pgh")
 GO_FALLBACKS = ("real-part", "pgh")
 SIGN_CONVENTIONS = ("alternate", "random")
 
@@ -94,7 +96,7 @@ class Heuristic:
     sign_convention: str = "alternate"
 
     def __post_init__(self):
-        if self.kind not in ("go", "pgh"):
+        if self.kind not in HEURISTIC_KINDS:
             raise ValueError(f"unknown heuristic kind: {self.kind!r}")
         if self.go_fallback not in GO_FALLBACKS:
             raise ValueError(f"unknown go fallback: {self.go_fallback!r}")

@@ -39,13 +39,16 @@ __all__ = [
 
 
 # kind -> (its parameter, visibility v, fair-coin weight q) of the fringe
-# v p(x) + q/2. q is p itself for depolarizing noise, since 1 - (1 - p) is
-# not always p; kappa ** 2 would overflow past 1e154, where v is long 0.
+# v p(x) + q/2, and the uniforms sample_outcomes draws per sample and probe.
+# q is p itself for depolarizing noise, since 1 - (1 - p) is not always p;
+# kappa ** 2 would overflow past 1e154, where v is long 0. sample_outcomes
+# draws its uniforms in this order: the phase kick's u1 and u2, the click,
+# the depolarizing noise and fair coins.
 _KINDS = {
-    "ideal": (None, lambda c: 1.0, lambda c: 0.0),
-    "depolarizing": ("p", lambda c: 1.0 - c.p, lambda c: c.p),
+    "ideal": (None, lambda c: 1.0, lambda c: 0.0, 1),
+    "depolarizing": ("p", lambda c: 1.0 - c.p, lambda c: c.p, 3),
     "phase": ("kappa", lambda c: math.exp(-c.kappa ** 2 / 2.0) if c.kappa < 1e150 else 0.0,
-              lambda c: 1.0 - c.visibility),
+              lambda c: 1.0 - c.visibility, 3),
 }
 
 
@@ -83,7 +86,7 @@ class NoiseChannel:
     @property
     def draws(self):
         """Uniforms sample_outcomes draws per sample and probe."""
-        return _DRAWS[self.kind]
+        return _KINDS[self.kind][3]
 
     @property
     def fair_weight(self):
@@ -174,17 +177,12 @@ def sample_outcome(channel, phi, feedback, rng):
     return 0 if rng.random() < p0 else 1
 
 
-# uniforms per sample and probe; sample_outcomes draws them in this order:
-# the phase kick's u1 and u2, the click, the depolarizing noise and fair coins
-_DRAWS = {"ideal": 1, "depolarizing": 3, "phase": 3}
-
-
 def sample_outcomes(channel, re, im, rngs, draws, out):
     """Clicks for rows of phasors e^{i(phi - Phi)}, given as re + i im.
 
     Row s draws only from rngs[s]: it fills draws[s], of shape
     (channel.draws, K), with one block of uniforms per draw kind, in the
-    order of _DRAWS; the draws then serve as scratch. Writes 1.0 into out
+    order _KINDS gives; the draws then serve as scratch. Writes 1.0 into out
     where outcome 1 clicks and 0.0 elsewhere, and returns out; without
     noise p(0) = (1 + re) / 2.
     """

@@ -20,21 +20,20 @@ outcome-1 pass runs row by row: at 2^17 a ufunc `where=` mask took
 about 4x the time of an unmasked pass.
 
 A grid owns one scratch array of its size. An update evaluates the
-likelihood into it over the index span of the support only (half the
-grid for a [0, pi] prior) and divides by the total over that span only,
-so weights outside it stay exactly +0.0 (0.0 / total is +0.0) and the
-likelihood allocates nothing. The normalising sum still runs over every
-weight, because its pairwise order depends on the length. The PGH draw
-builds its cumulative sum in the same array.
+likelihood over the index span of the support only (half the grid for a
+[0, pi] prior) and divides by the total over that span only, so weights
+outside it stay exactly +0.0 (0.0 / total is +0.0). The normalising sum
+still runs over every weight, because its pairwise order depends on the
+length. The PGH draw builds its cumulative sum in the scratch.
 
-An update whose one feedback phase, shared by every row, and channel
-repeat those of the update before it evaluates the likelihood of each
-outcome into an array of its own, at most once, and keeps it; while
-that key stands, later updates multiply the kept arrays in, and a new
-feedback or channel drops them. The same ufuncs on the same inputs give
-the same array, so no bit changes. This serves bayes-fixed's Phi = 0 at
-every probe, and on a coarse grid the odd repeated step of a lone go or
-pgh grid. An update given one feedback per row keeps nothing.
+An update reads a lone posterior as a block of one. Given one feedback
+phase per row, as go and pgh give, it evaluates the likelihood into the
+scratch and keeps nothing. Given one feedback phase shared by every row,
+as bayes-fixed's Phi = 0, it keeps each outcome's likelihood in an array
+of its own, evaluated the first time that outcome appears, while the
+(feedback, channel) key stands; a new feedback or channel drops both.
+The same ufuncs on the same inputs give the same array, so no bit
+changes, and a bayes-fixed run evaluates its likelihood once per outcome.
 
 The resultant is computed once per update and kept until the next, so
 the summaries taken between two updates share it.
@@ -120,7 +119,7 @@ class PosteriorGrid:
         self.weights, self._span, self._scratch = weights, span, scratch
         self._resultant = None
         self._key = None  # (feedback, channel) of the last update
-        self._kept = {}  # outcome == 0 -> its likelihood under self._key
+        self._kept = {}  # outcome == 0 -> its likelihood under self._key, at most two
         self._views = ()
         if weights.ndim == 2:
             self._views = tuple(PosteriorGrid.__new__(PosteriorGrid) for _ in weights)
@@ -181,26 +180,28 @@ class PosteriorGrid:
         channel is the likelihood model assumed by the updater; callers
         default it to the ideal channel even when the samples come from
         a noisy one, so the protocol stays noise-unaware unless asked.
-        On a block, outcome holds one click per row, and feedback one
-        phase per row or one phase shared by every row; only a shared
-        feedback can repeat a key and keep its likelihoods.
+        A lone posterior is a block of one. outcome holds one click per
+        row, and feedback one phase per row or one phase shared by every
+        row; only a shared feedback keeps its likelihoods.
         """
         span = self._span
+        inside = np.atleast_2d(self.weights)[:, span]
+        outcome = np.atleast_1d(outcome)
         if isinstance(feedback, np.ndarray):
-            key, feedback = None, feedback.reshape(-1, 1)
-        else:
-            key = (feedback, channel)
-        inside = self.weights[..., span]
-        if key is None or key != self._key:  # a new key keeps nothing until it repeats
-            self._key, self._kept = key, {}
             inside *= noisy_likelihood(
-                channel, outcome, self.phis[span], feedback, out=self._scratch[..., span]
+                channel, outcome, self.phis[span], feedback.reshape(-1, 1),
+                out=np.atleast_2d(self._scratch)[:, span],
             )
-        elif isinstance(outcome, np.ndarray):
-            for row, x in zip(inside, outcome):
-                row *= self._kept_likelihood(x)
         else:
-            inside *= self._kept_likelihood(outcome)
+            if (feedback, channel) != self._key:
+                self._key, self._kept = (feedback, channel), {}
+            for row, x in zip(inside, outcome):
+                like = self._kept.get(x == 0)
+                if like is None:
+                    like = self._kept[x == 0] = noisy_likelihood(
+                        channel, x, self.phis[span], feedback, out=np.empty(inside.shape[1])
+                    )
+                row *= like
         for row in self.rows:
             row._resultant = None
         total = self.weights.sum(axis=-1, keepdims=True)
@@ -210,19 +211,6 @@ class PosteriorGrid:
             )
         inside /= total
         return self
-
-    def _kept_likelihood(self, outcome):
-        """The likelihood of outcome under the repeated key, evaluated
-        into an array of its own the first time."""
-        like = self._kept.get(outcome == 0)
-        if like is None:
-            feedback, channel = self._key
-            span = self._span
-            out = np.empty(span.stop - span.start)
-            like = self._kept[outcome == 0] = noisy_likelihood(
-                channel, outcome, self.phis[span], feedback, out=out
-            )
-        return like
 
     def resultant(self):
         """Complex mean resultant sum(w_j e^{i phi_j}), kept until the

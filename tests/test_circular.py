@@ -58,3 +58,9 @@ def test_holevo_sigma_of_a_point_and_of_a_spread_sample():
     assert holevo_sigma([0.0, math.pi]) == math.inf
     s = abs(np.exp(1j * np.array([0.1, 0.5])).mean())
     assert holevo_sigma([0.1, 0.5]) == pytest.approx(math.sqrt(1.0 / s ** 2 - 1.0))
+
+
+@pytest.mark.parametrize("angles", [[], [math.nan, 1.0], [1.0, math.inf]])
+def test_holevo_sigma_rejects_an_empty_or_non_finite_sample(angles):
+    with pytest.raises(ValueError):
+        holevo_sigma(angles)

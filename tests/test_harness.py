@@ -85,8 +85,8 @@ def test_bayes_fixed_evaluates_the_likelihood_once_per_outcome(monkeypatch):
     calls = _count_likelihood_calls(monkeypatch)
     record = run_estimation(1.0, 30, "bayes-fixed", grid_size=GRID, seed=6)
     assert set(record.outcomes[1:]) == {0, 1}
-    # the first probe, then each outcome once Phi = 0 has repeated
-    assert len(calls) == 3
+    # Phi = 0 at every probe: each outcome's likelihood is evaluated once and kept
+    assert len(calls) == 2
 
 
 def test_go_evaluates_the_likelihood_every_probe(monkeypatch):

@@ -17,6 +17,7 @@ from mzphase import (
     wrap_phase,
 )
 
+from mzphase import posterior
 from mzphase.posterior import _CDF_BLOCK
 
 from _oracles import cdf_draw_index, wrapped_normal_weights
@@ -311,21 +312,37 @@ def test_repeated_updates_keep_the_bits_of_the_full_grid_product(support):
 def test_block_rows_update_like_lone_grids(channel, support):
     # one feedback per row, then a shared one repeated, as bayes-fixed gives
     rng = make_generator(19)
-    block = PosteriorGrid.uniform(512, support=support, rows=5)
-    lone = [PosteriorGrid.uniform(512, support=support) for _ in range(5)]
-    for step in range(14):
-        xs = rng.integers(0, 2, 5)
-        fbs = rng.uniform(0, TWO_PI, 5) if step < 7 else np.zeros(5)
-        block.update(xs, fbs if step < 7 else 0.0, channel)
-        for grid, x, fb in zip(lone, xs, fbs):
-            grid.update(int(x), float(fb), channel)
-        for row, grid in zip(block.rows, lone):
-            assert row.weights.tobytes() == grid.weights.tobytes()
-            assert row.gaussian_summary() == grid.gaussian_summary()
-            assert np.shares_memory(row.weights, block.weights)
-    twin = block.copy()
-    assert [r.weights.tobytes() for r in twin.rows] == [r.weights.tobytes() for r in block.rows]
-    assert not np.shares_memory(twin.weights, block.weights)
+    for rows in (5, 1):
+        block = PosteriorGrid.uniform(512, support=support, rows=rows)
+        lone = [PosteriorGrid.uniform(512, support=support) for _ in range(rows)]
+        for step in range(14):
+            xs = rng.integers(0, 2, rows)
+            fbs = rng.uniform(0, TWO_PI, rows) if step < 7 else np.zeros(rows)
+            block.update(xs, fbs if step < 7 else 0.0, channel)
+            for grid, x, fb in zip(lone, xs, fbs):
+                grid.update(int(x), float(fb), channel)
+            for row, grid in zip(block.rows, lone):
+                assert row.weights.tobytes() == grid.weights.tobytes()
+                assert row.gaussian_summary() == grid.gaussian_summary()
+                assert np.shares_memory(row.weights, block.weights)
+        twin = block.copy()
+        assert [r.weights.tobytes() for r in twin.rows] == [r.weights.tobytes() for r in block.rows]
+        assert not np.shares_memory(twin.weights, block.weights)
+
+
+def test_a_shared_feedback_keeps_one_likelihood_per_outcome_until_it_changes(monkeypatch):
+    calls = []
+    likelihood = posterior.noisy_likelihood
+    monkeypatch.setattr(
+        posterior, "noisy_likelihood", lambda *a, **k: calls.append(1) or likelihood(*a, **k)
+    )
+    grid = PosteriorGrid.uniform(64)
+    for x, fb in zip([0, 0, 1, 0, 0], [0.4, 0.4, 0.4, 1.1, 0.4]):
+        grid.update(x, fb)
+    # feedback a: outcome 0 evaluated, then reused, then outcome 1 evaluated;
+    # b drops both and evaluates its own; back at a, b's is dropped
+    assert len(calls) == 4
+    assert len(grid._kept) == 1
 
 
 def test_block_rows_are_their_own_grids():
