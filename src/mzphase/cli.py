@@ -433,14 +433,18 @@ def _add_options(parser, options):
         parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The CLI parser. Given a subcommand name, only that subcommand gets
+    its options: a command line that starts with it reaches no other."""
     parser = argparse.ArgumentParser(
         prog="mzphase",
         description="Adaptive single-photon phase estimation benchmark",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, func in _COMMANDS.items():
-        _add_options(sub.add_parser(command, help=func.__doc__), _OPTIONS[command])
+    for name, func in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=func.__doc__)
+        if command in (None, name):
+            _add_options(subparser, _OPTIONS[name])
     return parser
 
 
@@ -453,8 +457,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -13,6 +13,10 @@ one posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
+A run draws its uniforms as one array, as many as its probes can take,
+hands them out one by one, and at its end rewinds its generator to the
+draws taken (see rng.Draws): its values and final generator state are
+those of one-by-one draws.
 
 Strategies:
 
@@ -29,7 +33,6 @@ import csv
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,7 @@ from .circular import TWO_PI, holevo_sigma, wrap_phase, wrap_signed
 from .heuristics import HEURISTIC_KINDS, Heuristic, next_feedback
 from .interferometer import (
     IDEAL,
+    SAMPLE_OUTCOME_DRAWS,
     NoiseChannel,
     precision_bound,
     sample_outcome,
@@ -45,7 +49,7 @@ from .interferometer import (
 from .nonadaptive import inversion_estimate
 from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid, UndefinedMeanError
 from .pso import Policy, apply_policy_step
-from .rng import make_generator
+from .rng import Draws, make_generator
 
 __all__ = [
     "RunRecord",
@@ -236,7 +240,11 @@ def _run_rows(
     if model_channel is None:
         model_channel = IDEAL
     phi_true = wrap_phase(phi_true)
-    rngs = [make_generator(entropy) for entropy in seeds]
+    # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
+    online = label in HEURISTIC_KINDS
+    # a probe takes at most one feedback uniform, online only, and its outcome's
+    count = n * (online + SAMPLE_OUTCOME_DRAWS[sample_channel.kind])
+    rngs = [Draws(make_generator(entropy), count) for entropy in seeds]
     rows = len(rngs)
 
     feedbacks = np.empty((rows, n))
@@ -244,8 +252,6 @@ def _run_rows(
     estimates = np.empty((rows, n))
     sigmas = np.full((rows, n), math.nan)
 
-    # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
-    online = label in HEURISTIC_KINDS
     grid = None
     if online or label == "bayes-fixed":
         support = None if online else (0.0, math.pi)
@@ -277,6 +283,8 @@ def _run_rows(
             for r in range(rows):
                 n0[r] += x[r] == 0
                 estimates[r, k - 1] = inversion_estimate(n0[r], k)
+    for rng in rngs:
+        rng.close()
 
     return [
         RunRecord(
@@ -325,6 +333,8 @@ def run_batch(
         _run_rows, phi_true, n, strategy, sample_channel, model_channel, grid_size
     )
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing is slow to import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [r for block in pool.map(run, blocks) for r in block]
     else:

@@ -35,8 +35,9 @@ of its own, evaluated the first time that outcome appears, while the
 The same ufuncs on the same inputs give the same array, so no bit
 changes, and a bayes-fixed run evaluates its likelihood once per outcome.
 
-The resultant is computed once per update and kept until the next, so
-the summaries taken between two updates share it.
+The resultant and the Gaussian summary are computed once per update and
+kept until the next, so the summaries taken between two updates share
+them; a zero resultant keeps no summary and raises on every call.
 """
 
 import math
@@ -98,7 +99,9 @@ class PosteriorGrid:
     A one-posterior grid is its own only row.
     """
 
-    __slots__ = ("weights", "_span", "_scratch", "_resultant", "_key", "_kept", "_views")
+    __slots__ = (
+        "weights", "_span", "_scratch", "_resultant", "_summary", "_key", "_kept", "_views",
+    )
 
     def __init__(self, weights):
         weights = np.asarray(weights, dtype=float)
@@ -117,7 +120,7 @@ class PosteriorGrid:
         """Take over normalised weights, the support span and a scratch
         array; a block makes its row grids on views of both."""
         self.weights, self._span, self._scratch = weights, span, scratch
-        self._resultant = None
+        self._resultant = self._summary = None
         self._key = None  # (feedback, channel) of the last update
         self._kept = {}  # outcome == 0 -> its likelihood under self._key, at most two
         self._views = ()
@@ -171,7 +174,7 @@ class PosteriorGrid:
         g = PosteriorGrid.__new__(PosteriorGrid)
         g._bind(self.weights.copy(), self._span, np.empty_like(self._scratch))
         for twin, row in zip(g.rows, self.rows):
-            twin._resultant = row._resultant
+            twin._resultant, twin._summary = row._resultant, row._summary
         return g
 
     def update(self, outcome, feedback, channel=IDEAL):
@@ -203,7 +206,7 @@ class PosteriorGrid:
                     )
                 row *= like
         for row in self.rows:
-            row._resultant = None
+            row._resultant = row._summary = None
         total = self.weights.sum(axis=-1, keepdims=True)
         if not total.all():  # weights are never negative, so a total is 0 or more
             raise DegeneratePosteriorError(
@@ -237,14 +240,17 @@ class PosteriorGrid:
 
     def gaussian_summary(self):
         """(mu, sigma) with mu the circular mean and sigma^2 the Holevo
-        variance; for narrow posteriors this matches a Gaussian fit."""
-        z = self._kept_resultant()
-        r = abs(z)
-        if r < _RESULTANT_EPS:
-            raise UndefinedMeanError("zero resultant vector")
-        mu = wrap_phase(math.atan2(z.imag, z.real))
-        sigma = math.sqrt(max(1.0 / (r * r) - 1.0, 0.0))
-        return GaussianSummary(mu, sigma)
+        variance; for narrow posteriors this matches a Gaussian fit.
+        Kept, like the resultant, until the next update."""
+        if self._summary is None:
+            z = self._kept_resultant()
+            r = abs(z)
+            if r < _RESULTANT_EPS:
+                raise UndefinedMeanError("zero resultant vector")
+            mu = wrap_phase(math.atan2(z.imag, z.real))
+            sigma = math.sqrt(max(1.0 / (r * r) - 1.0, 0.0))
+            self._summary = GaussianSummary(mu, sigma)
+        return self._summary
 
     def sample(self, rng):
         """Draw a grid point with probability equal to its weight.

@@ -12,9 +12,15 @@ from a single integer seed:
 Gaussian variates are produced by an explicit Box-Muller transform on
 uniform draws (not the generator's native normal method), so a trace of
 uniform draws fully determines every trajectory.
+
+A run takes its uniforms through Draws, as one array handed out one by
+one, and rewinds its generator to the draws taken: a block of doubles
+equals as many one-by-one doubles and each advances PCG64 one step, so
+the stream layout and the final state are those of one-by-one draws.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -24,6 +30,44 @@ from .circular import TWO_PI
 def make_generator(entropy):
     """Build a PCG64 generator from an int or a sequence of ints."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+class Draws:
+    """A generator's uniforms, drawn count at a time as one array and
+    handed out one by one. It stands in for the generator wherever only
+    random() and uniform(lo, hi) are called, with the same values.
+
+    A caller that takes more than count values gets another block; one
+    that takes fewer calls close(), which rewinds the generator to the
+    values taken.
+    """
+
+    __slots__ = ("_rng", "_count", "_values")
+
+    def __init__(self, rng, count):
+        if count < 1:
+            raise ValueError(f"draw count must be >= 1, got {count}")
+        self._rng, self._count = rng, count
+        self._values = iter(rng.random(count).tolist())
+
+    def random(self):
+        value = next(self._values, None)
+        if value is None:  # more values taken than count: draw another block
+            self._values = iter(self._rng.random(self._count).tolist())
+            value = next(self._values)
+        return value
+
+    def uniform(self, lo, hi):
+        """lo + (hi - lo) * U, the formula of Generator.uniform."""
+        return lo + (hi - lo) * self.random()
+
+    def close(self):
+        """Leave the generator in the state that one-by-one draws of the
+        values taken so far would; later takes draw a new block."""
+        surplus = operator.length_hint(self._values)
+        if surplus:  # stepping 2^128 - s times is stepping back s times
+            self._rng.bit_generator.advance((1 << 128) - surplus)
+        self._values = iter(())
 
 
 def normal(rng):

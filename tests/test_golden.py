@@ -23,7 +23,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzphase import NoiseChannel, Policy, PsoConfig, harness, run_estimation, train_policy
+from mzphase import (
+    Heuristic,
+    NoiseChannel,
+    Policy,
+    PsoConfig,
+    harness,
+    run_batch,
+    run_estimation,
+    train_policy,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
 POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
@@ -114,6 +123,48 @@ def test_run_leaves_its_generator_in_the_golden_state(case, monkeypatch):
     [rng] = made
     state = rng.bit_generator.state
     assert state["state"]["state"] == int(GOLDEN_STREAM[case], 16)
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+
+
+# final PCG64 states of runs whose draw count depends on the data, taken
+# the same way as GOLDEN_STREAM: go falling back to pgh while sigma is
+# wide, go flipping a coin for its sign, and run 15 of a pgh batch of 37
+# (base seed 40, 2 probes), which hits a zero resultant at step 2
+GOLDEN_STREAM_DATA_DEPENDENT = {
+    "go-pgh-fallback|ideal": "89f54abb309420cf388c7298614a424a",
+    "go-pgh-fallback|depolarizing:0.1": "305f9431a1c551d7b0b2a5f6971d64c5",
+    "go-pgh-fallback|phase:0.3": "66a9ca2ebf56dfb597c01a34b665d258",
+    "go-random-sign|ideal": "bcf56dc91f9ae198ba2564abbede91a7",
+    "go-random-sign|depolarizing:0.1": "32d0e8275c6116def96ccaa5440e779d",
+    "go-random-sign|phase:0.3": "05ac7a02507de61084f0010434407203",
+    "pgh-zero-resultant": "aa1c5a2266c7880a5ae987fdd3cf01c0",
+}
+DATA_DEPENDENT_HEURISTICS = {
+    "go-pgh-fallback": Heuristic("go", go_fallback="pgh"),
+    "go-random-sign": Heuristic("go", sign_convention="random"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STREAM_DATA_DEPENDENT))
+def test_data_dependent_draws_leave_the_golden_state(case, monkeypatch):
+    made = []
+
+    def make_generator(entropy, original=harness.make_generator):
+        made.append(original(entropy))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "make_generator", make_generator)
+    if case == "pgh-zero-resultant":
+        run_batch(1.0, 2, "pgh", 37, grid_size=1024, base_seed=40)
+        rng = made[15]
+    else:
+        name, spec = case.split("|")
+        channel = NoiseChannel.parse(spec)
+        run_estimation(1.0, 30, DATA_DEPENDENT_HEURISTICS[name], sample_channel=channel,
+                       model_channel=channel, grid_size=1024, seed=[7, 0, 2])
+        [rng] = made
+    state = rng.bit_generator.state
+    assert state["state"]["state"] == int(GOLDEN_STREAM_DATA_DEPENDENT[case], 16)
     assert (state["has_uint32"], state["uinteger"]) == (0, 0)
 
 

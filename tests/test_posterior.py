@@ -307,6 +307,27 @@ def test_repeated_updates_keep_the_bits_of_the_full_grid_product(support):
         assert not np.signbit(grid.weights).any()
 
 
+def test_update_clears_each_rows_kept_summary():
+    # the block takes every row's summary after every update; each lone
+    # twin takes its first summary only after the last
+    rng = make_generator(23)
+    block = PosteriorGrid.uniform(256, rows=4)
+    lone = [PosteriorGrid.uniform(256) for _ in range(4)]
+    for step in range(6):
+        xs, fbs = rng.integers(0, 2, 4), rng.uniform(0, 2 * math.pi, 4)
+        block.update(xs, fbs)
+        for grid, x, fb in zip(lone, xs, fbs):
+            grid.update(int(x), float(fb))
+        summaries = [row.gaussian_summary() for row in block.rows]
+        assert [row.gaussian_summary() for row in block.rows] == summaries
+    assert summaries == [grid.gaussian_summary() for grid in lone]
+    # a zero resultant keeps no summary: every call raises
+    flat = PosteriorGrid.uniform(256)
+    for _ in range(2):
+        with pytest.raises(UndefinedMeanError):
+            flat.gaussian_summary()
+
+
 @pytest.mark.parametrize("channel", [IDEAL, NoiseChannel.depolarizing(0.1), NoiseChannel.phase(0.3)])
 @pytest.mark.parametrize("support", [None, (0.0, math.pi)])
 def test_block_rows_update_like_lone_grids(channel, support):
