@@ -13,6 +13,7 @@ from .harness import (
     PhaseBatch,
     RunRecord,
     batch_stats_at_step,
+    phase_average,
     reference_curves,
     run_batch,
     run_estimation,

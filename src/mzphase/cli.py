@@ -27,6 +27,7 @@ from dataclasses import fields
 
 from .harness import (
     STRATEGIES,
+    phase_average,
     reference_curves,
     run_estimation,
     sweep_phases,
@@ -323,24 +324,8 @@ def cmd_benchmark(args):
             # columns left out of a row are written empty
             common = {"strategy": name, "channel": channel.spec(), "n": n,
                       "sql": reference["sql"], "crb": reference["crb"]}
-            for batch in results:
-                stats = batch.stats
-                rows.append({
-                    **common,
-                    "phi_true": batch.phi_true,
-                    "m": stats.m,
-                    "circ_mean": stats.circular_mean,
-                    "sigma_est": stats.sigma_est,
-                    "err_mean": stats.err_mean,
-                    "err_sigma": stats.err_sigma,
-                    "quad_loss": stats.quad_loss,
-                })
-            summary.append({
-                **common,
-                "m": m,
-                "sigma_est": sum(b.stats.sigma_est for b in results) / len(results),
-                "quad_loss": sum(b.stats.quad_loss for b in results) / len(results),
-            })
+            rows.extend({**common, "phi_true": b.phi_true, **vars(b.stats)} for b in results)
+            summary.append({**common, "m": m, **phase_average([b.stats for b in results])})
 
     write_batch_csv(_out_path(opts, "benchmark.csv"), rows)
     write_batch_csv(_out_path(opts, "summary.csv"), summary)

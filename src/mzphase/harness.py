@@ -1,4 +1,4 @@
-"""Estimation runs, batches, phase sweeps and aggregate statistics.
+"""Estimation runs, batches, phase sweeps, and their statistics per phase and over phases.
 
 Seeding contract: the run addressed by (base_seed, phase_index,
 run_index) draws every random quantity from
@@ -59,6 +59,7 @@ __all__ = [
     "run_batch",
     "sweep_phases",
     "batch_stats_at_step",
+    "phase_average",
     "sigma_vs_probes",
     "reference_curves",
     "write_batch_csv",
@@ -127,7 +128,8 @@ class RunRecord:
 
 @dataclass
 class BatchStats:
-    """Aggregate over M independent runs at one true phase.
+    """Aggregate over M independent runs at one true phase; its fields
+    are the statistic columns of a benchmark CSV row.
 
     sigma_est is the square root of the Holevo variance of the wrapped
     final-estimate errors; the error bars follow sigma_est * M^(-1/2)
@@ -136,7 +138,7 @@ class BatchStats:
     """
 
     m: int
-    circular_mean: float
+    circ_mean: float
     sigma_est: float
     err_mean: float
     err_sigma: float
@@ -154,7 +156,7 @@ class BatchStats:
         circ_mean = wrap_phase(math.atan2(mean_z.imag, mean_z.real))
         return cls(
             m=m,
-            circular_mean=circ_mean,
+            circ_mean=circ_mean,
             sigma_est=sigma,
             err_mean=sigma / math.sqrt(m),
             err_sigma=sigma / math.sqrt(2.0 * (m - 1)),
@@ -394,32 +396,28 @@ def batch_stats_at_step(records, k):
     return BatchStats.from_estimates(estimates, records[0].phi_true)
 
 
-def sigma_vs_probes(sweep_results, ks):
-    """Phase-averaged sigma_est and quadratic loss at selected probe counts.
+def phase_average(stats):
+    """The average over phases of per-phase BatchStats, as a dict.
 
-    Requires the sweep to have kept its RunRecords. Returns one dict per
-    k with the mean over phases and the combined standard error of that
-    mean (quadrature sum of per-phase error bars).
+    sigma_est and quad_loss are the means over phases; err_sigma is the
+    standard error of the sigma_est mean, the per-phase error bars
+    summed in quadrature over the phase count.
     """
-    rows = []
-    for k in ks:
-        sigmas = []
-        losses = []
-        errs = []
-        for batch in sweep_results:
-            stats = batch_stats_at_step(batch.records, k)
-            sigmas.append(stats.sigma_est)
-            losses.append(stats.quad_loss)
-            errs.append(stats.err_sigma)
-        rows.append(
-            {
-                "n": k,
-                "sigma_est": float(np.mean(sigmas)),
-                "sigma_err": float(np.sqrt(np.sum(np.square(errs))) / len(errs)),
-                "quad_loss": float(np.mean(losses)),
-            }
-        )
-    return rows
+    count = len(stats)
+    return {
+        "sigma_est": sum(s.sigma_est for s in stats) / count,
+        "err_sigma": math.sqrt(sum(s.err_sigma ** 2 for s in stats)) / count,
+        "quad_loss": sum(s.quad_loss for s in stats) / count,
+    }
+
+
+def sigma_vs_probes(sweep_results, ks):
+    """phase_average of the sweep at each probe count k, as one dict per
+    k with "n" = k. Requires the sweep to have kept its RunRecords."""
+    return [
+        {"n": k, **phase_average([batch_stats_at_step(b.records, k) for b in sweep_results])}
+        for k in ks
+    ]
 
 
 def reference_curves(channel, n_values):

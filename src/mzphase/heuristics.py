@@ -117,7 +117,7 @@ def next_feedback(heuristic, grid, step, rng):
     try:
         summary = grid.gaussian_summary()
     except UndefinedMeanError:
-        return rng.uniform(0.0, TWO_PI)
+        return TWO_PI * rng.random()
     if summary.sigma > SIGMA_VALID_MAX and heuristic.go_fallback == "pgh":
         return pgh_feedback(grid, rng)
     if heuristic.sign_convention == "alternate":

@@ -35,7 +35,7 @@ def make_generator(entropy):
 class Draws:
     """A generator's uniforms, drawn count at a time as one array and
     handed out one by one. It stands in for the generator wherever only
-    random() and uniform(lo, hi) are called, with the same values.
+    random() is called, with the same values.
 
     A caller that takes more than count values gets another block; one
     that takes fewer calls close(), which rewinds the generator to the
@@ -56,10 +56,6 @@ class Draws:
             self._values = iter(self._rng.random(self._count).tolist())
             value = next(self._values)
         return value
-
-    def uniform(self, lo, hi):
-        """lo + (hi - lo) * U, the formula of Generator.uniform."""
-        return lo + (hi - lo) * self.random()
 
     def close(self):
         """Leave the generator in the state that one-by-one draws of the

@@ -52,30 +52,23 @@ def expected_posterior_variance(offset, sigma, width=14.0, points=40001):
     return total
 
 
-def argmin_expected_posterior_variance(sigma, coarse=2001, refine_iters=60):
-    """Golden-section argmin of the expected posterior variance over
-    offsets in (-pi, 0), seeded by a coarse scan."""
-    offsets = np.linspace(-math.pi + 1e-6, -1e-6, coarse)
-    values = [expected_posterior_variance(o, sigma) for o in offsets]
-    i = int(np.argmin(values))
-    lo = offsets[max(i - 1, 0)]
-    hi = offsets[min(i + 1, coarse - 1)]
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc = expected_posterior_variance(c, sigma)
-    fd = expected_posterior_variance(d, sigma)
-    for _ in range(refine_iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = expected_posterior_variance(c, sigma)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = expected_posterior_variance(d, sigma)
-    return 0.5 * (a + b)
+def expected_posterior_variance_closed_form(offset, sigma):
+    """expected_posterior_variance in closed form, for an offset D or an
+    array of them: sigma^2 - sigma^4 e^{-sigma^2} sin^2 D / (1 - e^{-sigma^2} cos^2 D)."""
+    decay = math.exp(-sigma * sigma)
+    return sigma ** 2 - sigma ** 4 * decay * np.sin(offset) ** 2 / (
+        1.0 - decay * np.cos(offset) ** 2
+    )
+
+
+def argmin_expected_posterior_variance(sigma):
+    """Argmin of the expected posterior variance over offsets in (-pi, 0),
+    from its closed form. With c = cos^2 D the subtracted term is
+    proportional to (1 - c) / (1 - e^{-sigma^2} c), which decreases in c,
+    so the minimum sits at c = 0: at -pi/2 exactly, for every sigma > 0."""
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    return -math.pi / 2
 
 
 def numeric_fisher_information(probability_of_zero, grid_points=10 ** 4, step=1e-5):

@@ -101,7 +101,7 @@ def test_criterion_03_strong_noise_misses_cramer_rao(spec):
         "go", 100, 50, 100, sample_channel=channel, grid_size=GRID, base_seed=103
     )
     row = sigma_vs_probes(sweep, [100])[0]
-    gap_in_se = (row["sigma_est"] - crb) / row["sigma_err"]
+    gap_in_se = (row["sigma_est"] - crb) / row["err_sigma"]
     ok = gap_in_se >= 3.0
     assert report(
         "03",
@@ -179,12 +179,12 @@ def test_criterion_05_trained_policy_quality():
 
 def test_criterion_06a_offset_matches_expected_posterior_variance_argmin():
     # Faithful check of the closed form against its stated derivation.
-    # The quadrature oracle (tests/_oracles.py) evaluates the one-step
-    # expected posterior variance sum_x P(x) Var(phi | x) for a Gaussian
-    # prior and minimizes it over the feedback offset. That argmin sits
-    # at -pi/2 for every sigma: the expected posterior variance is
+    # The one-step expected posterior variance sum_x P(x) Var(phi | x)
+    # for a Gaussian prior is
     # sigma^2 - sigma^4 e^{-sigma^2} sin^2(D) / (1 - e^{-sigma^2} cos^2(D))
-    # exactly, which is minimal where sin^2(D) = 1. Any objective built
+    # exactly (tests/_oracles.py; test_heuristics pins it to quadrature),
+    # which is minimal where sin^2(D) = 1: its argmin over the feedback
+    # offset sits at -pi/2 for every sigma. Any objective built
     # symmetrically from the posterior ensemble is pi-periodic in the
     # offset and can only have stationary points with this symmetry, so
     # no such objective reproduces the closed form used by the rule.

@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import mzphase
-from mzphase import cli
+from mzphase import BatchStats, cli, phase_average
 
 # The directory holding the imported mzphase package. Prepending it to the
 # child's PYTHONPATH makes every CLI run use the code under test, from any
@@ -204,6 +205,29 @@ def test_benchmark_csv_shape(tmp_path):
     with open(tmp_path / "bench" / "summary.csv", newline="") as fh:
         summary = list(csv.DictReader(fh))
     assert len(summary) == 3
+
+
+def test_summary_rows_are_the_phase_average_of_benchmark_rows(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([
+        "benchmark", "--strategies", "go,inversion", "--n", "4", "--m", "3", "--phases", "9",
+        "--channels", "ideal,depolarizing:0.1", "--grid-size", "64", "--seed", "7",
+        "--out", "bench",
+    ]) == 0
+    with open(tmp_path / "bench" / "benchmark.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "bench" / "summary.csv", newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert len(summary) == 4  # 2 strategies x 2 channels
+    for line in summary:
+        label = (line["strategy"], line["channel"])
+        group = [
+            BatchStats(**{f.name: f.type(row[f.name]) for f in fields(BatchStats)})
+            for row in rows if (row["strategy"], row["channel"]) == label
+        ]
+        assert len(group) == 9
+        average = phase_average(group)
+        assert {key: float(line[key]) for key in average} == average
 
 
 def test_benchmark_channel_groups(tmp_path):

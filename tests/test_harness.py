@@ -16,6 +16,7 @@ from mzphase import (
     PosteriorGrid,
     PsoConfig,
     batch_stats_at_step,
+    phase_average,
     reference_curves,
     run_batch,
     run_estimation,
@@ -130,7 +131,7 @@ def test_batch_stats_all_exact():
     stats = BatchStats.from_estimates(np.full(10, 1.25), 1.25)
     assert stats.sigma_est == 0.0
     assert stats.quad_loss == 0.0
-    assert stats.circular_mean == pytest.approx(1.25)
+    assert stats.circ_mean == pytest.approx(1.25)
     assert stats.err_mean == 0.0
 
 
@@ -165,7 +166,7 @@ def test_run_batch_reproducible_and_unbiased():
     assert len(records) == 40
     assert all(r.seed == (9, 0, i) for i, r in enumerate(records))
     # unbiasedness within generous error bars
-    offset = wrap_signed(stats.circular_mean - 2.6819)
+    offset = wrap_signed(stats.circ_mean - 2.6819)
     assert abs(offset) < 5 * stats.err_mean + 0.05
 
 
@@ -289,6 +290,13 @@ def test_batch_stats_at_step_and_sigma_vs_probes():
         [batch_stats_at_step(batch.records, 20).sigma_est for batch in sweep]
     )
     assert rows[1]["sigma_est"] == pytest.approx(by_hand)
+
+
+def test_sigma_vs_probes_at_n_is_the_phase_average_of_the_sweep():
+    sweep = sweep_phases("go", 12, 9, 5, grid_size=256, base_seed=17)
+    average = phase_average([b.stats for b in sweep])
+    assert sigma_vs_probes(sweep, [12]) == [{"n": 12, **average}]
+    assert average["err_sigma"] > 0.0
 
 
 def test_holevo_sigma_squared_tracks_quadratic_loss_when_narrow():

@@ -18,7 +18,12 @@ from mzphase import (
     wrap_phase,
 )
 
-from _oracles import wrapped_normal_weights
+from _oracles import (
+    argmin_expected_posterior_variance,
+    expected_posterior_variance,
+    expected_posterior_variance_closed_form,
+    wrapped_normal_weights,
+)
 
 TWO_PI = 2 * math.pi
 SMALL_SIGMA_OFFSET = -math.pi / 2 + math.asin(math.sqrt(2.0) - 1.0)
@@ -29,6 +34,22 @@ def test_offset_small_sigma_limit():
     assert feedback_offset(0.0) == pytest.approx(SMALL_SIGMA_OFFSET, abs=1e-12)
     # continuity at sigma -> 0
     assert abs(feedback_offset(0.0) - feedback_offset(1e-4)) < 1e-6
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.6, 0.9])
+def test_closed_form_expected_posterior_variance_matches_quadrature(sigma):
+    for offset in np.linspace(-math.pi, math.pi, 9)[:-1] + 0.1:
+        exact = expected_posterior_variance_closed_form(offset, sigma)
+        assert expected_posterior_variance(offset, sigma) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.3, 0.6, 0.9])
+def test_expected_posterior_variance_argmin_is_a_quarter_turn(sigma):
+    offsets = np.linspace(-math.pi, 0.0, 20001)[1:-1]
+    values = expected_posterior_variance_closed_form(offsets, sigma)
+    argmin = argmin_expected_posterior_variance(sigma)
+    assert argmin == -math.pi / 2
+    assert values.min() >= expected_posterior_variance_closed_form(argmin, sigma)
 
 
 def test_go_feedback_example_values():

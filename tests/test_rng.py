@@ -19,10 +19,13 @@ def test_draws_hand_out_the_one_by_one_doubles():
 
 
 def test_draws_uniform_equals_generator_uniform_bit_for_bit():
-    twin = make_generator(5)
-    draws = Draws(make_generator(5), 1000)
+    # the flat-posterior feedback TWO_PI * random() is Generator.uniform(0, 2 pi)
+    rng, twin = make_generator(5), make_generator(5)
+    draws = Draws(rng, 1000)
     for _ in range(1000):
-        assert draws.uniform(0.0, TWO_PI).hex() == twin.uniform(0.0, TWO_PI).hex()
+        assert (TWO_PI * draws.random()).hex() == twin.uniform(0.0, TWO_PI).hex()
+    draws.close()
+    assert _state(rng) == _state(twin)
 
 
 def test_draws_serve_the_scalar_draw_sites():
@@ -66,12 +69,13 @@ def test_draws_need_a_positive_count():
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_draws_match_a_one_by_one_twin(count, takes, seed):
-    # each take is a random() (False) or a uniform(0, 2 pi) (True)
+    # each take is a random() (False) or TWO_PI * random(), the twin's
+    # uniform(0, 2 pi) (True)
     rng, twin = make_generator(seed), make_generator(seed)
     draws = Draws(rng, count)
     for uniform in takes:
         if uniform:
-            assert draws.uniform(0.0, TWO_PI) == twin.uniform(0.0, TWO_PI)
+            assert (TWO_PI * draws.random()).hex() == twin.uniform(0.0, TWO_PI).hex()
         else:
             value = draws.random()
             assert value == twin.random() and 0.0 <= value < 1.0 and not math.isnan(value)
