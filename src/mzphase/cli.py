@@ -314,7 +314,7 @@ def cmd_benchmark(args):
     rows = []
     summary = []
     for channel in opts["channels"]:
-        reference = reference_curves(channel, [n])[0]
+        reference = reference_curves(channel, [n])[0]  # n, sql and crb
         for name, strategy in resolved:
             results = sweep_phases(
                 strategy, n, opts["phases"], m, sample_channel=channel,
@@ -322,8 +322,7 @@ def cmd_benchmark(args):
                 base_seed=opts["seed"], workers=opts["threads"], keep_records=False,
             )
             # columns left out of a row are written empty
-            common = {"strategy": name, "channel": channel.spec(), "n": n,
-                      "sql": reference["sql"], "crb": reference["crb"]}
+            common = {"strategy": name, "channel": channel.spec(), **reference}
             rows.extend({**common, "phi_true": b.phi_true, **vars(b.stats)} for b in results)
             summary.append({**common, "m": m, **phase_average([b.stats for b in results])})
 

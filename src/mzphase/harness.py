@@ -13,10 +13,10 @@ one posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
-A run draws its uniforms as one array, as many as its probes can take,
-hands them out one by one, and at its end rewinds its generator to the
-draws taken (see rng.Draws): its values and final generator state are
-those of one-by-one draws.
+A run draws its uniforms in blocks of one value per probe, hands them
+out one by one, draws another block when one runs out, and at its end
+rewinds its generator to the draws taken (see rng.Draws): its values
+and final generator state are those of one-by-one draws.
 
 Strategies:
 
@@ -33,19 +33,13 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .circular import TWO_PI, holevo_sigma, wrap_phase, wrap_signed
 from .heuristics import HEURISTIC_KINDS, Heuristic, next_feedback
-from .interferometer import (
-    IDEAL,
-    SAMPLE_OUTCOME_DRAWS,
-    NoiseChannel,
-    precision_bound,
-    sample_outcome,
-)
+from .interferometer import IDEAL, NoiseChannel, precision_bound, sample_outcome
 from .nonadaptive import inversion_estimate
 from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid, UndefinedMeanError
 from .pso import Policy, apply_policy_step
@@ -69,7 +63,7 @@ __all__ = [
 
 
 # every strategy name run_estimation takes; "policy" is given as a Policy
-STRATEGIES = ("go", "pgh", "policy", "inversion", "bayes-fixed")
+STRATEGIES = (*HEURISTIC_KINDS, "policy", "inversion", "bayes-fixed")
 
 
 @dataclass
@@ -244,9 +238,7 @@ def _run_rows(
     phi_true = wrap_phase(phi_true)
     # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
     online = label in HEURISTIC_KINDS
-    # a probe takes at most one feedback uniform, online only, and its outcome's
-    count = n * (online + SAMPLE_OUTCOME_DRAWS[sample_channel.kind])
-    rngs = [Draws(make_generator(entropy), count) for entropy in seeds]
+    rngs = [Draws(make_generator(entropy), n) for entropy in seeds]
     rows = len(rngs)
 
     feedbacks = np.empty((rows, n))
@@ -360,9 +352,9 @@ def sweep_phases(
     """run_batch per phase; an int phase argument means an even grid of
     that many phases, offset by half a cell to avoid phi = 0 exactly."""
     if np.isscalar(phases):
+        if isinstance(phases, bool) or not isinstance(phases, (int, np.integer)) or phases < 1:
+            raise ValueError(f"phase count must be an integer >= 1, got {phases!r}")
         count = int(phases)
-        if count < 1:
-            raise ValueError("phase count must be >= 1")
         phases = [(j + 0.5) * TWO_PI / count for j in range(count)]
     else:
         phases = [float(p) for p in phases]
@@ -392,6 +384,8 @@ def batch_stats_at_step(records, k):
     """BatchStats from the per-step estimates at probe k of a batch."""
     if not records:
         raise ValueError("no records")
+    if not 1 <= k <= records[0].n:
+        raise ValueError(f"probe step must be in 1..{records[0].n}, got {k}")
     estimates = [float(r.estimates[k - 1]) for r in records]
     return BatchStats.from_estimates(estimates, records[0].phi_true)
 
@@ -404,6 +398,8 @@ def phase_average(stats):
     summed in quadrature over the phase count.
     """
     count = len(stats)
+    if not count:
+        raise ValueError("no phases to average")
     return {
         "sigma_est": sum(s.sigma_est for s in stats) / count,
         "err_sigma": math.sqrt(sum(s.err_sigma ** 2 for s in stats)) / count,
@@ -426,39 +422,20 @@ def reference_curves(channel, n_values):
     if not n_values:
         raise ValueError("empty probe-count range")
     return [
-        {"n": n, "sql": 1.0 / math.sqrt(n), "crb": precision_bound(channel, n)}
+        {"n": n, "sql": precision_bound(IDEAL, n), "crb": precision_bound(channel, n)}
         for n in n_values
     ]
 
 
 BATCH_CSV_COLUMNS = [
-    "strategy",
-    "channel",
-    "phi_true",
-    "n",
-    "m",
-    "circ_mean",
-    "sigma_est",
-    "err_mean",
-    "err_sigma",
-    "quad_loss",
-    "sql",
-    "crb",
+    "strategy", "channel", "phi_true", "n", *(f.name for f in fields(BatchStats)), "sql", "crb"
 ]
 
 
 def write_batch_csv(path, rows):
-    """Write benchmark rows (dicts keyed by BATCH_CSV_COLUMNS) as CSV."""
+    """Write benchmark rows (dicts keyed by BATCH_CSV_COLUMNS) as CSV;
+    a missing or None cell is written empty and other keys are ignored."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=BATCH_CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=BATCH_CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _csv_cell(row.get(key)) for key in BATCH_CSV_COLUMNS})
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        writer.writerows(rows)

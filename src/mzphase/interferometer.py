@@ -161,12 +161,6 @@ def noisy_likelihood(channel, x, phi, feedback, out=None):
     return np.add(np.multiply(channel.visibility, p, out=out), q / 2.0, out=out)
 
 
-# kind -> uniforms one sample_outcome call draws: the click, after a
-# depolarizing coin or a phase kick's two Box-Muller uniforms. These are
-# not NoiseChannel.draws, which counts sample_outcomes' uniforms.
-SAMPLE_OUTCOME_DRAWS = {"ideal": 1, "depolarizing": 2, "phase": 3}
-
-
 def sample_outcome(channel, phi, feedback, rng):
     """Draw one click through the physical noise mechanism.
 

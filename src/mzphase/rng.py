@@ -13,7 +13,7 @@ Gaussian variates are produced by an explicit Box-Muller transform on
 uniform draws (not the generator's native normal method), so a trace of
 uniform draws fully determines every trajectory.
 
-A run takes its uniforms through Draws, as one array handed out one by
+A run takes its uniforms through Draws, as blocks handed out one by
 one, and rewinds its generator to the draws taken: a block of doubles
 equals as many one-by-one doubles and each advances PCG64 one step, so
 the stream layout and the final state are those of one-by-one draws.

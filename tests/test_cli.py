@@ -230,6 +230,16 @@ def test_summary_rows_are_the_phase_average_of_benchmark_rows(tmp_path, monkeypa
         assert {key: float(line[key]) for key in average} == average
 
 
+def test_benchmark_csv_headers(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["benchmark", "--strategies", "inversion", "--n", "3", "--m", "2",
+                     "--phases", "1", "--out", "bench"]) == 0
+    header = ("strategy,channel,phi_true,n,m,circ_mean,sigma_est,err_mean,err_sigma,"
+              "quad_loss,sql,crb")
+    for name in ("benchmark.csv", "summary.csv"):
+        assert (tmp_path / "bench" / name).read_text().splitlines()[0] == header
+
+
 def test_benchmark_channel_groups(tmp_path):
     result = run_cli(
         "benchmark",

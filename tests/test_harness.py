@@ -27,6 +27,7 @@ from mzphase import (
 )
 from mzphase import harness, posterior
 from mzphase.harness import STRATEGIES, write_batch_csv
+from mzphase.rng import Draws
 
 GRID = 1024
 
@@ -255,6 +256,35 @@ def test_block_size_moves_no_bit(seed, m, rows, strategy):
                                           seed=[seed, 1, i]))
 
 
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.1", "phase:0.3"])
+@pytest.mark.parametrize("name", sorted(_ROW_STRATEGIES))
+def test_draw_block_size_moves_no_bit(name, spec, monkeypatch):
+    # blocks of 1 refill at every draw; blocks of 5 n leave a surplus to rewind
+    channel = NoiseChannel.parse(spec)
+    made = _record_generators(monkeypatch)
+
+    def batch():
+        made.clear()
+        _, records = run_batch(2.2, 12, _ROW_STRATEGIES[name], 9, sample_channel=channel,
+                               grid_size=64, base_seed=6, phase_index=2)
+        return records, [g.bit_generator.state for g in made]
+
+    expected, states = batch()
+    for block in (lambda n: 1, lambda n: 5 * n):
+        sizes = []
+
+        def draws(rng, n, block=block):
+            sizes.append(n)
+            return Draws(rng, block(n))
+
+        monkeypatch.setattr(harness, "Draws", draws)
+        records, block_states = batch()
+        assert sizes == [12] * 9
+        for record, want in zip(records, expected):
+            _same_bits(record, want)
+        assert block_states == states
+
+
 def test_zero_resultant_row_leaves_its_block_neighbours_alone():
     # found by search: run 15 of this batch redraws an antipode at step 2
     _, records = run_batch(1.0, 2, "pgh", 37, grid_size=1024, base_seed=40, phase_index=0)
@@ -279,6 +309,15 @@ def test_sweep_phase_count_grid():
     phases = [b.phi_true for b in sweep]
     expected = [(j + 0.5) * 2 * math.pi / 4 for j in range(4)]
     assert phases == pytest.approx(expected)
+    numpy_count = sweep_phases("pgh", 5, np.int64(4), 4, grid_size=256, base_seed=12)
+    assert [b.stats for b in numpy_count] == [b.stats for b in sweep]
+    assert [b.phi_true for b in numpy_count] == phases
+
+
+@pytest.mark.parametrize("count", [2.5, np.float64(2.0), True, False, 0, -1, "3"])
+def test_sweep_phase_count_must_be_an_integer_of_at_least_one(count):
+    with pytest.raises(ValueError, match="phase count"):
+        sweep_phases("go", 4, count, 2, grid_size=64)
 
 
 def test_batch_stats_at_step_and_sigma_vs_probes():
@@ -290,6 +329,22 @@ def test_batch_stats_at_step_and_sigma_vs_probes():
         [batch_stats_at_step(batch.records, 20).sigma_est for batch in sweep]
     )
     assert rows[1]["sigma_est"] == pytest.approx(by_hand)
+
+
+@pytest.mark.parametrize("k", [0, -1, 7])
+def test_steps_outside_the_run_are_rejected(k):
+    sweep = sweep_phases("inversion", 6, [0.9], 3, base_seed=13)
+    with pytest.raises(ValueError, match="probe step"):
+        batch_stats_at_step(sweep[0].records, k)
+    with pytest.raises(ValueError, match="probe step"):
+        sigma_vs_probes(sweep, [3, k])
+
+
+def test_empty_phase_average_and_zero_probe_reference_are_rejected():
+    with pytest.raises(ValueError, match="no phases"):
+        phase_average([])
+    with pytest.raises(ValueError, match="probe count"):
+        reference_curves(IDEAL, [0])
 
 
 def test_sigma_vs_probes_at_n_is_the_phase_average_of_the_sweep():
@@ -366,7 +421,10 @@ def test_write_batch_csv_quoting(tmp_path):
                 "quad_loss": 0.25,
                 "sql": 0.31,
                 "crb": 0.31,
-            }
+            },
+            # a summary row: no phase, no mean, None where a value is undefined
+            {"strategy": "pgh", "channel": "ideal", "n": 10, "m": 4, "sigma_est": 0.1,
+             "err_sigma": None, "quad_loss": np.float64(1.5), "sql": 0.31, "crb": 0.31},
         ],
     )
     text = path.read_text()
@@ -375,6 +433,7 @@ def test_write_batch_csv_quoting(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["strategy"] == "go,variant"
     assert float(rows[0]["sigma_est"]) == 0.5
+    assert text.splitlines()[2] == "pgh,ideal,,10,4,,0.1,,,1.5,0.31,0.31"
 
 
 @settings(max_examples=30, deadline=None)
