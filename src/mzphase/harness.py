@@ -222,8 +222,9 @@ def _run_rows(
 
     At each step every row draws its feedback and its outcome from its
     own generator, with the calls and in the order of a lone run; then
-    one update advances the posteriors of all rows, and each row takes
-    its summary from its own row grid.
+    one update advances the posteriors of all rows, the first row's
+    summary takes every row's (see posterior), and the step's estimates
+    and sigmas are written as one column each.
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
@@ -252,7 +253,7 @@ def _run_rows(
         grid = PosteriorGrid.uniform(grid_size, support=support, rows=rows)
         views = grid.rows
     # a policy starts from Phi_0 = 0 and x_0 = 0
-    fb, x, n0 = [0.0] * rows, [0] * rows, [0] * rows
+    fb, x, n0, est = [0.0] * rows, [0] * rows, [0] * rows, [0.0] * rows
     for k in range(1, n + 1):
         for r, rng in enumerate(rngs):
             if label == "policy":
@@ -264,13 +265,17 @@ def _run_rows(
         outcomes[:, k - 1] = x
         if grid is not None:
             grid.update(outcomes[:, k - 1], feedbacks[:, k - 1] if online else 0.0, model_channel)
+            sig = [math.nan] * rows
             for r, row in enumerate(views):
                 if snapshot is not None:
                     snapshot(k, row)
                 try:
-                    estimates[r, k - 1], sigmas[r, k - 1] = row.gaussian_summary()
+                    est[r], sig[r] = row.gaussian_summary()
                 except UndefinedMeanError:  # zero resultant: keep the last estimate
-                    estimates[r, k - 1] = estimates[r, k - 2] if k > 1 else fb[r]
+                    if k == 1:
+                        est[r] = fb[r]
+            estimates[:, k - 1] = est
+            sigmas[:, k - 1] = sig
         elif label == "policy":
             estimates[:, k - 1] = fb
         else:
@@ -318,6 +323,8 @@ def run_batch(
     """
     if m < 2:
         raise ValueError("need m >= 2 runs")
+    if grid_size < 2:
+        raise ValueError(f"grid size must be >= 2, got {grid_size}")
     size = max(1, _BLOCK_POINTS // grid_size)
     if workers > 1:  # at least one block per worker
         size = min(size, -(-m // workers))

@@ -14,7 +14,8 @@ block advances all its rows with one set of array operations per update,
 and serves each row's summaries and draws through a row grid whose
 weights and scratch are views of the block's. Every ufunc acts element
 by element, the normalising sum of a row is the pairwise sum a lone row
-takes, and each row takes its resultant with its own dot product, so a
+takes, and the block's resultants come from one batched product whose
+per-row dot product is the BLAS call np.dot makes for a lone row, so a
 row's bits do not depend on the block it sits in. The likelihood's
 outcome-1 pass runs row by row: at 2^17 a ufunc `where=` mask took
 about 4x the time of an unmasked pass.
@@ -37,10 +38,14 @@ changes, and a bayes-fixed run evaluates its likelihood once per outcome.
 
 The resultant and the Gaussian summary are computed once per update and
 kept until the next, so the summaries taken between two updates share
-them; a zero resultant keeps no summary and raises on every call.
+them; a zero resultant keeps no summary and raises on every call. The
+first one asked of any row after an update takes every row's at once:
+one np.matmul for the resultants, then one loop of the scalar math per
+row (numpy's abs and arctan2 round differently from abs and math.atan2).
 """
 
 import math
+import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -93,14 +98,16 @@ class PosteriorGrid:
 
     A grid holds one posterior (weights of shape (G,)) or a block of
     independent posteriors, one per row (weights of shape (rows, G)),
-    on the same support. One update advances every row. The summaries
-    and draws are per posterior: take them from `rows`, which holds a
-    grid per row whose weights and scratch are views of the block's.
-    A one-posterior grid is its own only row.
+    on the same support. One update advances every row. The summaries,
+    draws and dumps are per posterior, and a block raises ValueError for
+    them: take them from `rows`, which holds a grid per row whose weights
+    and scratch are views of the block's. A one-posterior grid is its
+    own only row.
     """
 
     __slots__ = (
         "weights", "_span", "_scratch", "_resultant", "_summary", "_key", "_kept", "_views",
+        "_block", "__weakref__",
     )
 
     def __init__(self, weights):
@@ -116,18 +123,20 @@ class PosteriorGrid:
         weights = weights / total
         self._bind(weights, slice(0, weights.shape[-1]), np.empty_like(weights))
 
-    def _bind(self, weights, span, scratch):
+    def _bind(self, weights, span, scratch, block=None):
         """Take over normalised weights, the support span and a scratch
-        array; a block makes its row grids on views of both."""
+        array; a block makes its row grids on views of both, each with a
+        weak reference (no garbage cycle) to the block that summarises it."""
         self.weights, self._span, self._scratch = weights, span, scratch
         self._resultant = self._summary = None
         self._key = None  # (feedback, channel) of the last update
         self._kept = {}  # outcome == 0 -> its likelihood under self._key, at most two
+        self._block = weakref.ref(block or self)
         self._views = ()
         if weights.ndim == 2:
             self._views = tuple(PosteriorGrid.__new__(PosteriorGrid) for _ in weights)
             for row, w, s in zip(self._views, weights, scratch):
-                row._bind(w, span, s)
+                row._bind(w, span, s, self)
 
     @classmethod
     def uniform(cls, grid_size=DEFAULT_GRID_SIZE, support=None, rows=None):
@@ -215,11 +224,27 @@ class PosteriorGrid:
         inside /= total
         return self
 
+    def _one_posterior(self):
+        if self.weights.ndim == 2:
+            raise ValueError(
+                f"this grid is a block of {len(self.weights)} posteriors: take summaries, "
+                "draws and dumps from grid.rows"
+            )
+
     def resultant(self):
         """Complex mean resultant sum(w_j e^{i phi_j}), kept until the
-        next update."""
+        next update together with the Gaussian summary. The block of
+        this row takes them for all its rows at once."""
+        self._one_posterior()
+        block = self._block() or self  # a row outliving its block is one
         _, phasors = _grid_arrays(self.grid_size)
-        self._resultant = complex(np.dot(self.weights, phasors))
+        zs = np.matmul(np.atleast_2d(block.weights)[:, None, :], phasors[:, None])
+        for row, z in zip(block.rows, zs.ravel().tolist()):
+            r = abs(z)
+            row._resultant, row._summary = z, None
+            if r >= _RESULTANT_EPS:
+                mu = wrap_phase(math.atan2(z.imag, z.real))
+                row._summary = GaussianSummary(mu, math.sqrt(max(1.0 / (r * r) - 1.0, 0.0)))
         return self._resultant
 
     def _kept_resultant(self):
@@ -241,15 +266,11 @@ class PosteriorGrid:
     def gaussian_summary(self):
         """(mu, sigma) with mu the circular mean and sigma^2 the Holevo
         variance; for narrow posteriors this matches a Gaussian fit.
-        Kept, like the resultant, until the next update."""
+        Taken and kept with the resultant; a zero resultant has none."""
         if self._summary is None:
-            z = self._kept_resultant()
-            r = abs(z)
-            if r < _RESULTANT_EPS:
+            self._kept_resultant()
+            if self._summary is None:
                 raise UndefinedMeanError("zero resultant vector")
-            mu = wrap_phase(math.atan2(z.imag, z.real))
-            sigma = math.sqrt(max(1.0 / (r * r) - 1.0, 0.0))
-            self._summary = GaussianSummary(mu, sigma)
         return self._summary
 
     def sample(self, rng):
@@ -260,6 +281,7 @@ class PosteriorGrid:
         draw. cumsum adds strictly in sequence, so the index is the one
         the full cumulative sum gives, clamped to the last point.
         """
+        self._one_posterior()
         u = rng.random()
         idx = self.grid_size - 1
         total = 0.0
@@ -278,6 +300,7 @@ class PosteriorGrid:
         """Write the snapshot as CSV with columns (phi, weight)."""
         import csv
 
+        self._one_posterior()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["phi", "weight"])

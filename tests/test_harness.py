@@ -297,6 +297,13 @@ def test_zero_resultant_row_leaves_its_block_neighbours_alone():
         _same_bits(record, run_estimation(1.0, 2, "pgh", grid_size=1024, seed=[40, 0, i]))
 
 
+@pytest.mark.parametrize("strategy", ["go", "inversion", "bayes-fixed"])
+@pytest.mark.parametrize("grid_size", [0, 1, -4])
+def test_run_batch_rejects_a_grid_of_fewer_than_two_points(strategy, grid_size):
+    with pytest.raises(ValueError, match=f"grid size must be >= 2, got {grid_size}"):
+        run_batch(1.0, 4, strategy, 4, grid_size=grid_size)
+
+
 def test_sweep_single_phase_matches_run_batch():
     stats, _ = run_batch(1.3, 10, "go", m=10, grid_size=GRID, base_seed=11)
     sweep = sweep_phases("go", 10, [1.3], 10, grid_size=GRID, base_seed=11)

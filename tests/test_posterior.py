@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from mzphase import (
     wrap_phase,
 )
 
+import mzphase
 from mzphase import posterior
 from mzphase.posterior import _CDF_BLOCK
 
@@ -425,6 +430,85 @@ def test_summaries_share_one_resultant_per_update(monkeypatch):
     assert len(calls) == 2
     z = resultant(grid)
     assert mu == wrap_phase(math.atan2(z.imag, z.real))
+
+
+def test_a_zero_resultant_row_in_a_block_raises_alone():
+    # row 0 takes outcome 0 then outcome 1 at one feedback: its posterior is
+    # sin^2(phi - 0.7), whose resultant is zero
+    steps = [([0, 1, 0, 0], [0.7, 1.9, 3.1, 4.4]), ([1, 1, 0, 1], [0.7, 2.8, 5.0, 0.2])]
+    block = PosteriorGrid.uniform(256, rows=4)
+    lone = [PosteriorGrid.uniform(256) for _ in range(4)]
+    for xs, fbs in steps:
+        block.update(np.array(xs), np.array(fbs))
+        for grid, x, fb in zip(lone, xs, fbs):
+            grid.update(x, fb)
+    # the zero row asks first, so its failing summary takes every row's
+    for _ in range(2):
+        with pytest.raises(UndefinedMeanError):
+            block.rows[0].gaussian_summary()
+    with pytest.raises(UndefinedMeanError):
+        lone[0].gaussian_summary()
+    for row, grid in zip(block.rows, lone):
+        assert row.sharpness().hex() == grid.sharpness().hex()
+    for row, grid in zip(block.rows[1:], lone[1:]):
+        assert [v.hex() for v in row.gaussian_summary()] == [
+            v.hex() for v in grid.gaussian_summary()
+        ]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_per_posterior_calls_on_a_block_point_to_its_rows(rows, tmp_path):
+    block = PosteriorGrid.uniform(64, rows=rows).update(np.zeros(rows, int), np.full(rows, 0.4))
+    rng = make_generator(2)
+    state = rng.bit_generator.state
+    path = tmp_path / "block.csv"
+    calls = [getattr(block, name) for name in
+             ("resultant", "sharpness", "gaussian_summary", "holevo_variance", "circular_mean")]
+    calls += [lambda: block.sample(rng), lambda: block.dump_csv(path)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"grid\.rows"):
+            call()
+    assert not path.exists()
+    assert rng.bit_generator.state == state
+    lone = PosteriorGrid.uniform(64).update(0, 0.4)
+    assert [row.gaussian_summary() for row in block.rows] == [lone.gaussian_summary()] * rows
+    # a row kept past its block still summarises itself
+    orphan = PosteriorGrid.uniform(64, rows=rows).update(np.zeros(rows, int), np.full(rows, 0.4))
+    orphan = orphan.rows[-1]
+    assert orphan.gaussian_summary() == lone.gaussian_summary()
+
+
+# Checks in a fresh interpreter, so that the BLAS thread count set in its
+# environment holds: the block's batched resultants against np.dot per row.
+_BLAS_CHILD = """
+import numpy as np
+from mzphase.posterior import PosteriorGrid, _grid_arrays
+
+rng = np.random.default_rng(31)
+for rows, size in [(32, 1024), (7, 1023), (1, 2 ** 17)]:
+    _, phasors = _grid_arrays(size)
+    for grid in (PosteriorGrid(rng.random((rows, size))), PosteriorGrid(rng.random(size))):
+        got = [row.resultant() for row in grid.rows]
+        want = [complex(np.dot(row.weights, phasors)) for row in grid.rows]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (rows, size)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_batched_resultants_are_the_bits_of_a_dot_per_row(threads):
+    # perfbench runs with one BLAS thread and the goldens were recorded
+    # with the default count; at 2^17 the count can move np.dot's bits,
+    # so each setting must give the same bits on both paths
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    root = str(Path(mzphase.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _BLAS_CHILD], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
 
 
 def test_dump_csv(tmp_path):
