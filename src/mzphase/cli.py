@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime error.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -34,7 +35,7 @@ from .harness import (
     write_batch_csv,
 )
 from .heuristics import GO_FALLBACKS, HEURISTIC_KINDS, SIGN_CONVENTIONS, Heuristic
-from .interferometer import NoiseChannel
+from .interferometer import IDEAL, NoiseChannel, precision_bound
 from .posterior import DEFAULT_GRID_SIZE
 from .pso import Policy, PsoConfig, train_policy
 
@@ -342,7 +343,7 @@ def _plot_rows_from_run(payload, figure_id):
                      "" if step["sigma"] is None else step["sigma"]))
         if step["sigma"] is not None:
             rows.append((figure_id, f"{strategy}:sigma_est", k, step["sigma"], ""))
-        rows.append((figure_id, "sql", k, 1.0 / math.sqrt(k), ""))
+        rows.append((figure_id, "sql", k, precision_bound(IDEAL, k), ""))
     return rows
 
 
@@ -417,9 +418,15 @@ def _add_options(parser, options):
         parser.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser(command=None):
     """The CLI parser. Given a subcommand name, only that subcommand gets
-    its options: a command line that starts with it reaches no other."""
+    its options: a command line that starts with it reaches no other.
+
+    Built once per process and key, and shared by every later call (do
+    not change it): argparse keeps no parse state on a parser, so main
+    stays reentrant and an in-process caller pays for the tree once.
+    """
     parser = argparse.ArgumentParser(
         prog="mzphase",
         description="Adaptive single-photon phase estimation benchmark",

@@ -11,12 +11,12 @@ import math
 
 def inversion_estimate(n0, n):
     """Invert cos^2(phi/2) = N0/N from N0 clicks of outcome 0 in N probes;
-    result clamped to [0, pi].
+    the result lies in [0, pi], since 2 acos(sqrt(x)) does for x in
+    [0, 1] and 2 acos(0.0) is math.pi.
 
     No bias correction is applied; under depolarizing noise the raw
     inversion is biased toward pi/2.
     """
     if not 0 <= n0 <= n or n < 1:
         raise ValueError(f"need 0 <= n0 <= n and n >= 1, got n0={n0} n={n}")
-    est = 2.0 * math.acos(math.sqrt(n0 / n))
-    return min(max(est, 0.0), math.pi)
+    return 2.0 * math.acos(math.sqrt(n0 / n))

@@ -25,7 +25,11 @@ likelihood over the index span of the support only (half the grid for a
 [0, pi] prior) and divides by the total over that span only, so weights
 outside it stay exactly +0.0 (0.0 / total is +0.0). The normalising sum
 still runs over every weight, because its pairwise order depends on the
-length. The PGH draw builds its cumulative sum in the scratch.
+length. The PGH draw builds its cumulative sum in the scratch. A grid
+binds the views an update reads when it takes its weights (at
+construction, copy and a support's re-bind): the span of the weights
+and of the scratch as rows, and the span's phases. An update builds no
+view, and the weights array is changed in place, never replaced.
 
 An update reads a lone posterior as a block of one. Given one feedback
 phase per row, as go and pgh give, it evaluates the likelihood into the
@@ -106,8 +110,8 @@ class PosteriorGrid:
     """
 
     __slots__ = (
-        "weights", "_span", "_scratch", "_resultant", "_summary", "_key", "_kept", "_views",
-        "_block", "__weakref__",
+        "_weights", "_span", "_scratch", "_inside", "_out", "_phis", "_resultant", "_summary",
+        "_key", "_kept", "_views", "_block", "__weakref__",
     )
 
     def __init__(self, weights):
@@ -125,9 +129,14 @@ class PosteriorGrid:
 
     def _bind(self, weights, span, scratch, block=None):
         """Take over normalised weights, the support span and a scratch
-        array; a block makes its row grids on views of both, each with a
-        weak reference (no garbage cycle) to the block that summarises it."""
-        self.weights, self._span, self._scratch = weights, span, scratch
+        array, and the views an update reads: the span's weights and
+        scratch as rows, and its phases. A block makes its row grids on
+        views of both arrays, each with a weak reference (no garbage
+        cycle) to the block that summarises it."""
+        self._weights, self._span, self._scratch = weights, span, scratch
+        self._inside = np.atleast_2d(weights)[:, span]
+        self._out = np.atleast_2d(scratch)[:, span]
+        self._phis = _grid_arrays(weights.shape[-1])[0][span]
         self._resultant = self._summary = None
         self._key = None  # (feedback, channel) of the last update
         self._kept = {}  # outcome == 0 -> its likelihood under self._key, at most two
@@ -162,8 +171,15 @@ class PosteriorGrid:
         weights = np.zeros(shape)
         weights[..., span] = 1.0
         grid = cls(weights)
-        grid._bind(grid.weights, span, grid._scratch)
+        grid._bind(grid._weights, span, grid._scratch)
         return grid
+
+    @property
+    def weights(self):
+        """The normalised weights, read-only as an attribute: the views
+        bound at construction point into this array, so it is changed
+        in place (by update) and never replaced."""
+        return self._weights
 
     @property
     def rows(self):
@@ -172,7 +188,7 @@ class PosteriorGrid:
 
     @property
     def grid_size(self):
-        return self.weights.shape[-1]
+        return self._weights.shape[-1]
 
     @property
     def phis(self):
@@ -181,7 +197,7 @@ class PosteriorGrid:
     def copy(self):
         """An independent grid with the same weights; it keeps no likelihood."""
         g = PosteriorGrid.__new__(PosteriorGrid)
-        g._bind(self.weights.copy(), self._span, np.empty_like(self._scratch))
+        g._bind(self._weights.copy(), self._span, np.empty_like(self._scratch))
         for twin, row in zip(g.rows, self.rows):
             twin._resultant, twin._summary = row._resultant, row._summary
         return g
@@ -196,13 +212,11 @@ class PosteriorGrid:
         row, and feedback one phase per row or one phase shared by every
         row; only a shared feedback keeps its likelihoods.
         """
-        span = self._span
-        inside = np.atleast_2d(self.weights)[:, span]
+        inside, phis = self._inside, self._phis
         outcome = np.atleast_1d(outcome)
         if isinstance(feedback, np.ndarray):
             inside *= noisy_likelihood(
-                channel, outcome, self.phis[span], feedback.reshape(-1, 1),
-                out=np.atleast_2d(self._scratch)[:, span],
+                channel, outcome, phis, feedback.reshape(-1, 1), out=self._out
             )
         else:
             if (feedback, channel) != self._key:
@@ -211,13 +225,14 @@ class PosteriorGrid:
                 like = self._kept.get(x == 0)
                 if like is None:
                     like = self._kept[x == 0] = noisy_likelihood(
-                        channel, x, self.phis[span], feedback, out=np.empty(inside.shape[1])
+                        channel, x, phis, feedback, out=np.empty(len(phis))
                     )
                 row *= like
-        for row in self.rows:
+        for row in self._views or (self,):
             row._resultant = row._summary = None
-        total = self.weights.sum(axis=-1, keepdims=True)
-        if not total.all():  # weights are never negative, so a total is 0 or more
+        total = self._weights.sum(axis=-1, keepdims=True)
+        # weights are never negative, so a total is 0 or more
+        if np.count_nonzero(total) < total.size:
             raise DegeneratePosteriorError(
                 "posterior vanished: likelihood is zero across the support"
             )
@@ -225,9 +240,9 @@ class PosteriorGrid:
         return self
 
     def _one_posterior(self):
-        if self.weights.ndim == 2:
+        if self._weights.ndim == 2:
             raise ValueError(
-                f"this grid is a block of {len(self.weights)} posteriors: take summaries, "
+                f"this grid is a block of {len(self._weights)} posteriors: take summaries, "
                 "draws and dumps from grid.rows"
             )
 
@@ -238,7 +253,7 @@ class PosteriorGrid:
         self._one_posterior()
         block = self._block() or self  # a row outliving its block is one
         _, phasors = _grid_arrays(self.grid_size)
-        zs = np.matmul(np.atleast_2d(block.weights)[:, None, :], phasors[:, None])
+        zs = np.matmul(np.atleast_2d(block._weights)[:, None, :], phasors[:, None])
         for row, z in zip(block.rows, zs.ravel().tolist()):
             r = abs(z)
             row._resultant, row._summary = z, None
@@ -287,7 +302,7 @@ class PosteriorGrid:
         total = 0.0
         for start in range(0, self.grid_size, _CDF_BLOCK):
             cdf = self._scratch[start:start + _CDF_BLOCK]
-            cdf[:] = self.weights[start:start + _CDF_BLOCK]
+            cdf[:] = self._weights[start:start + _CDF_BLOCK]
             cdf[0] += total
             np.cumsum(cdf, out=cdf)
             total = cdf[-1]
@@ -304,5 +319,5 @@ class PosteriorGrid:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["phi", "weight"])
-            for phi, w in zip(self.phis, self.weights):
+            for phi, w in zip(self.phis, self._weights):
                 writer.writerow([repr(float(phi)), repr(float(w))])

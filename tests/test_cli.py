@@ -586,3 +586,61 @@ def test_every_option_is_checked_where_it_enters(command, key, value, tmp_path,
     assert code == 2, err
     assert re.search(rf"\b{key}\b", err), err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run.json"]
+
+
+def _tree(root):
+    """Every file under root as {relative path: bytes}."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def test_the_shared_parsers_keep_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    # one process runs a sequence through cli.main; fresh child processes
+    # run each command alone: codes, streams and files must agree
+    benchmark = ["benchmark", "--strategies", "go,inversion", "--n", "4", "--m", "3",
+                 "--phases", "2", "--grid-size", "64", "--seed", "5", "--out", "bench"]
+    sequence = [
+        benchmark,
+        ["benchmark", "--strategies", "nope", "--out", "bad"],  # config error
+        ["estimate", "--no-such-option", "1"],  # argparse error
+        ["estimate", "--strategy", "go", "--phi-true", "1.0", "--n", "3",
+         "--grid-size", "64", "--seed", "1", "--out", "est"],
+        benchmark,
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    inproc, child = tmp_path / "inproc", tmp_path / "child"
+    inproc.mkdir(), child.mkdir()
+    monkeypatch.chdir(inproc)
+    got = []
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        got.append((code, out, err))
+        if len(got) == 1:
+            first = _tree(inproc)
+    want = [(r.returncode, r.stdout, r.stderr) for r in
+            (run_cli(*argv, cwd=child) for argv in sequence)]
+    assert got == want
+    assert [code for code, _, _ in got] == [0, 2, 2, 0, 0]
+    assert _tree(inproc) == _tree(child)
+    assert {k: v for k, v in _tree(inproc).items() if k.startswith("bench")} == first
+    assert cli.build_parser("benchmark") is cli.build_parser("benchmark")
+
+
+def test_plot_data_sql_rows_are_the_reference_curve(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    n = 60
+    assert cli.main(["estimate", "--strategy", "inversion", "--phi-true", "1.0", "--n", str(n),
+                     "--seed", "3", "--out", "est"]) == 0
+    assert cli.main(["plot-data", "--inputs", "est/run.json", "--figure-id", "f",
+                     "--out", "plot"]) == 0
+    with open(tmp_path / "plot" / "plotdata.csv", newline="") as fh:
+        sql = [(row["x"], row["y"]) for row in csv.DictReader(fh) if row["series"] == "sql"]
+    want = [(str(ref["n"]), repr(ref["sql"]))
+            for ref in mzphase.reference_curves(mzphase.IDEAL, range(1, n + 1))]
+    assert sql == want

@@ -97,3 +97,20 @@ def test_inversion_bias_toward_half_pi_under_depolarizing():
     se = estimates.std(ddof=1) / math.sqrt(estimates.size)
     assert (estimates.mean() - phi_true) / se > 10.0
     assert phi_true < estimates.mean() < math.pi / 2
+
+
+def test_inversion_estimate_needs_no_clamp():
+    # 2 acos(sqrt(x)) lies in [0, pi] for x in [0, 1] and 2 acos(0.0) is
+    # math.pi, so clamping to [0, pi] changes no value
+    def clamped(n0, n):
+        return min(max(2.0 * math.acos(math.sqrt(n0 / n)), 0.0), math.pi)
+
+    mismatches = [
+        (n0, n)
+        for n in range(1, 2001)
+        for n0 in range(n + 1)
+        if not 0.0 <= (est := inversion_estimate(n0, n)) <= math.pi
+        or est.hex() != clamped(n0, n).hex()
+    ]
+    assert mismatches == []
+    assert inversion_estimate(0, 7) == math.pi

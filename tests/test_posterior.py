@@ -417,6 +417,46 @@ def test_copy_updates_like_the_original():
     assert np.array_equal(twin.weights, grid.weights)
 
 
+def test_bound_views_follow_every_re_bind():
+    # an update reads views bound when the grid takes its weights: a
+    # support's re-bind, a copy and user weights must each point them at
+    # their own arrays, so every grid matches lone twins bit for bit
+    rng = make_generator(41)
+    size, rows, half = 256, 3, (0.0, math.pi)
+    user = rng.random((rows, size))
+    user[:, 40:90] = 0.0
+    first = (np.array([0, 1, 0]), np.array([0.3, 2.2, 4.0]))
+
+    def half_twins():
+        twins = [PosteriorGrid.uniform(size, support=half) for _ in range(rows)]
+        for twin, x, fb in zip(twins, *first):
+            twin.update(int(x), float(fb))
+        return twins
+
+    support = PosteriorGrid.uniform(size, support=half, rows=rows).update(*first)
+    grids = [
+        (support, half_twins()),
+        (support.copy(), half_twins()),
+        (PosteriorGrid(user), [PosteriorGrid(w) for w in user]),
+    ]
+    for _ in range(5):
+        xs, fbs = rng.integers(0, 2, rows), rng.uniform(0, TWO_PI, rows)
+        for grid, twins in grids:
+            grid.update(xs, fbs)
+            for twin, x, fb in zip(twins, xs, fbs):
+                twin.update(int(x), float(fb))
+    outside = [support.phis > math.pi + 1e-9] * 2 + [user[0] == 0.0]
+    for (grid, twins), zeros in zip(grids, outside):
+        for row, twin in zip(grid.rows, twins):
+            assert [w.hex() for w in row.weights.tolist()] == [
+                w.hex() for w in twin.weights.tolist()
+            ]
+            assert np.shares_memory(row.weights, grid.weights)
+        assert all(w.hex() == "0x0.0p+0" for w in grid.weights[:, zeros].ravel().tolist())
+    with pytest.raises(AttributeError):
+        support.weights = user
+
+
 def test_summaries_share_one_resultant_per_update(monkeypatch):
     calls = []
     resultant = PosteriorGrid.resultant
