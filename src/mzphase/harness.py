@@ -222,9 +222,9 @@ def _run_rows(
 
     At each step every row draws its feedback and its outcome from its
     own generator, with the calls and in the order of a lone run; then
-    one update advances the posteriors of all rows, the first row's
-    summary takes every row's (see posterior), and the step's estimates
-    and sigmas are written as one column each.
+    one update advances the posteriors of all rows and sets every row's
+    summary (see posterior), and the step's estimates and sigmas are
+    written as one column each.
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")

@@ -26,10 +26,10 @@ likelihood over the index span of the support only (half the grid for a
 outside it stay exactly +0.0 (0.0 / total is +0.0). The normalising sum
 still runs over every weight, because its pairwise order depends on the
 length. The PGH draw builds its cumulative sum in the scratch. A grid
-binds the views an update reads when it takes its weights (at
-construction, copy and a support's re-bind): the span of the weights
-and of the scratch as rows, and the span's phases. An update builds no
-view, and the weights array is changed in place, never replaced.
+binds the views an update reads once, when it takes its weights (at
+construction and copy): the span of the weights and of the scratch as
+rows, and the span's phases. An update builds no view, and the weights
+array is changed in place, never replaced.
 
 An update reads a lone posterior as a block of one. Given one feedback
 phase per row, as go and pgh give, it evaluates the likelihood into the
@@ -40,16 +40,16 @@ of its own, evaluated the first time that outcome appears, while the
 The same ufuncs on the same inputs give the same array, so no bit
 changes, and a bayes-fixed run evaluates its likelihood once per outcome.
 
-The resultant and the Gaussian summary are computed once per update and
-kept until the next, so the summaries taken between two updates share
-them; a zero resultant keeps no summary and raises on every call. The
-first one asked of any row after an update takes every row's at once:
-one np.matmul for the resultants, then one loop of the scalar math per
-row (numpy's abs and arctan2 round differently from abs and math.atan2).
+A grid's resultants and Gaussian summaries are set with its weights: at
+construction, copy and every update, one pass takes every row's, with
+one np.matmul for the resultants and then one loop of the scalar math
+per row (numpy's abs and arctan2 round differently from abs and
+math.atan2). The summaries only read what the pass stored, and a zero
+resultant stores no summary, so every call raises. A block sets its
+rows' summaries and its rows hold no reference to it.
 """
 
 import math
-import weakref
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -98,7 +98,7 @@ def _grid_arrays(grid_size):
 class PosteriorGrid:
     """Probability weights over the phase grid, optionally restricted to
     a closed sub-interval of [0, 2*pi). Only update changes the
-    weights, since the resultant is kept from one update to the next.
+    weights, since the summaries are set with them.
 
     A grid holds one posterior (weights of shape (G,)) or a block of
     independent posteriors, one per row (weights of shape (rows, G)),
@@ -111,7 +111,7 @@ class PosteriorGrid:
 
     __slots__ = (
         "_weights", "_span", "_scratch", "_inside", "_out", "_phis", "_resultant", "_summary",
-        "_key", "_kept", "_views", "_block", "__weakref__",
+        "_key", "_kept", "_views",
     )
 
     def __init__(self, weights):
@@ -126,13 +126,14 @@ class PosteriorGrid:
             raise DegeneratePosteriorError("weights sum to zero")
         weights = weights / total
         self._bind(weights, slice(0, weights.shape[-1]), np.empty_like(weights))
+        self._summarise()
 
-    def _bind(self, weights, span, scratch, block=None):
+    def _bind(self, weights, span, scratch):
         """Take over normalised weights, the support span and a scratch
         array, and the views an update reads: the span's weights and
         scratch as rows, and its phases. A block makes its row grids on
-        views of both arrays, each with a weak reference (no garbage
-        cycle) to the block that summarises it."""
+        views of both arrays. Every caller then sets the summaries with
+        _summarise, a block its rows' (a block has none of its own)."""
         self._weights, self._span, self._scratch = weights, span, scratch
         self._inside = np.atleast_2d(weights)[:, span]
         self._out = np.atleast_2d(scratch)[:, span]
@@ -140,12 +141,23 @@ class PosteriorGrid:
         self._resultant = self._summary = None
         self._key = None  # (feedback, channel) of the last update
         self._kept = {}  # outcome == 0 -> its likelihood under self._key, at most two
-        self._block = weakref.ref(block or self)
         self._views = ()
         if weights.ndim == 2:
             self._views = tuple(PosteriorGrid.__new__(PosteriorGrid) for _ in weights)
             for row, w, s in zip(self._views, weights, scratch):
-                row._bind(w, span, s, self)
+                row._bind(w, span, s)
+
+    def _summarise(self):
+        """Set every row's resultant and Gaussian summary from the
+        weights; a zero resultant sets no summary."""
+        _, phasors = _grid_arrays(self.grid_size)
+        zs = np.matmul(np.atleast_2d(self._weights)[:, None, :], phasors[:, None])
+        for row, z in zip(self.rows, zs.ravel().tolist()):
+            r = abs(z)
+            row._resultant, row._summary = z, None
+            if r >= _RESULTANT_EPS:
+                mu = wrap_phase(math.atan2(z.imag, z.real))
+                row._summary = GaussianSummary(mu, math.sqrt(max(1.0 / (r * r) - 1.0, 0.0)))
 
     @classmethod
     def uniform(cls, grid_size=DEFAULT_GRID_SIZE, support=None, rows=None):
@@ -168,10 +180,12 @@ class PosteriorGrid:
         )
         if span.start >= span.stop:
             raise ValueError(f"support [{lo}, {hi}] contains no grid point")
+        # 1/count is the bits of normalising ones: their pairwise sum is exact
         weights = np.zeros(shape)
-        weights[..., span] = 1.0
-        grid = cls(weights)
-        grid._bind(grid._weights, span, grid._scratch)
+        weights[..., span] = 1.0 / (span.stop - span.start)
+        grid = cls.__new__(cls)
+        grid._bind(weights, span, np.empty_like(weights))
+        grid._summarise()
         return grid
 
     @property
@@ -198,8 +212,7 @@ class PosteriorGrid:
         """An independent grid with the same weights; it keeps no likelihood."""
         g = PosteriorGrid.__new__(PosteriorGrid)
         g._bind(self._weights.copy(), self._span, np.empty_like(self._scratch))
-        for twin, row in zip(g.rows, self.rows):
-            twin._resultant, twin._summary = row._resultant, row._summary
+        g._summarise()
         return g
 
     def update(self, outcome, feedback, channel=IDEAL):
@@ -228,8 +241,6 @@ class PosteriorGrid:
                         channel, x, phis, feedback, out=np.empty(len(phis))
                     )
                 row *= like
-        for row in self._views or (self,):
-            row._resultant = row._summary = None
         total = self._weights.sum(axis=-1, keepdims=True)
         # weights are never negative, so a total is 0 or more
         if np.count_nonzero(total) < total.size:
@@ -237,6 +248,7 @@ class PosteriorGrid:
                 "posterior vanished: likelihood is zero across the support"
             )
         inside /= total
+        self._summarise()
         return self
 
     def _one_posterior(self):
@@ -247,27 +259,14 @@ class PosteriorGrid:
             )
 
     def resultant(self):
-        """Complex mean resultant sum(w_j e^{i phi_j}), kept until the
-        next update together with the Gaussian summary. The block of
-        this row takes them for all its rows at once."""
+        """Complex mean resultant sum(w_j e^{i phi_j}), set with the
+        weights together with the Gaussian summary."""
         self._one_posterior()
-        block = self._block() or self  # a row outliving its block is one
-        _, phasors = _grid_arrays(self.grid_size)
-        zs = np.matmul(np.atleast_2d(block._weights)[:, None, :], phasors[:, None])
-        for row, z in zip(block.rows, zs.ravel().tolist()):
-            r = abs(z)
-            row._resultant, row._summary = z, None
-            if r >= _RESULTANT_EPS:
-                mu = wrap_phase(math.atan2(z.imag, z.real))
-                row._summary = GaussianSummary(mu, math.sqrt(max(1.0 / (r * r) - 1.0, 0.0)))
         return self._resultant
-
-    def _kept_resultant(self):
-        return self.resultant() if self._resultant is None else self._resultant
 
     def sharpness(self):
         """|sum w_j e^{i phi_j}|, 1 for a point mass, 0 when fully spread."""
-        return abs(self._kept_resultant())
+        return abs(self.resultant())
 
     def circular_mean(self):
         return self.gaussian_summary().mu
@@ -281,11 +280,10 @@ class PosteriorGrid:
     def gaussian_summary(self):
         """(mu, sigma) with mu the circular mean and sigma^2 the Holevo
         variance; for narrow posteriors this matches a Gaussian fit.
-        Taken and kept with the resultant; a zero resultant has none."""
+        Set with the weights and the resultant; a zero resultant has none."""
         if self._summary is None:
-            self._kept_resultant()
-            if self._summary is None:
-                raise UndefinedMeanError("zero resultant vector")
+            self._one_posterior()
+            raise UndefinedMeanError("zero resultant vector")
         return self._summary
 
     def sample(self, rng):

@@ -64,13 +64,14 @@ def test_run_estimation_is_deterministic_and_serializable(tmp_path):
 @pytest.mark.parametrize("grid_size", [1024, 2 ** 17])
 def test_go_takes_one_resultant_per_probe_step(grid_size, monkeypatch):
     calls = []
-    resultant = PosteriorGrid.resultant
-    monkeypatch.setattr(PosteriorGrid, "resultant", lambda self: calls.append(1) or resultant(self))
+    summarise = PosteriorGrid._summarise
+    monkeypatch.setattr(PosteriorGrid, "_summarise", lambda self: calls.append(1) or summarise(self))
     seen = []
     run_estimation(1.0, 10, "go", grid_size=grid_size, seed=3,
                    snapshot=lambda k, grid: seen.append(len(calls)))
-    # one for the flat prior; then the step-k summary and the step-k+1 rule share one
-    assert seen == list(range(1, 11))
+    # one for the flat prior at construction; then one per update, which
+    # the step-k summary and the step-k+1 rule share
+    assert seen == list(range(2, 12))
     assert len(calls) == 11
 
 

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -459,16 +461,19 @@ def test_bound_views_follow_every_re_bind():
 
 def test_summaries_share_one_resultant_per_update(monkeypatch):
     calls = []
-    resultant = PosteriorGrid.resultant
-    monkeypatch.setattr(PosteriorGrid, "resultant", lambda self: calls.append(1) or resultant(self))
+    summarise = PosteriorGrid._summarise
+    monkeypatch.setattr(PosteriorGrid, "_summarise", lambda self: calls.append(1) or summarise(self))
+    # one pass at construction and one per update, none per summary asked
     grid = PosteriorGrid.uniform(256).update(0, 0.4)
     grid.gaussian_summary(), grid.circular_mean(), grid.sharpness(), grid.holevo_variance()
+    assert len(calls) == 2
     assert grid.copy().sharpness() == grid.sharpness()
-    assert len(calls) == 1
+    assert len(calls) == 3
     grid.update(1, 2.0)
     mu, _ = grid.gaussian_summary()
-    assert len(calls) == 2
-    z = resultant(grid)
+    grid.resultant(), grid.sharpness()
+    assert len(calls) == 4
+    z = grid.resultant()
     assert mu == wrap_phase(math.atan2(z.imag, z.real))
 
 
@@ -516,6 +521,48 @@ def test_per_posterior_calls_on_a_block_point_to_its_rows(rows, tmp_path):
     orphan = PosteriorGrid.uniform(64, rows=rows).update(np.zeros(rows, int), np.full(rows, 0.4))
     orphan = orphan.rows[-1]
     assert orphan.gaussian_summary() == lone.gaussian_summary()
+
+
+class _Referable(PosteriorGrid):
+    # PosteriorGrid has no __weakref__ slot; this adds one to watch a block go
+    __slots__ = ("__weakref__",)
+
+
+def test_a_block_and_its_rows_form_no_reference_cycle():
+    # rows hold views of the block's arrays but no reference to the block,
+    # so the block goes with its last reference, without the cycle collector
+    steps = (np.array([0, 1, 1, 0]), np.array([0.3, 1.7, 4.2, 5.5]))
+    block = _Referable.uniform(256, rows=4).update(*steps)
+    twin = PosteriorGrid.uniform(256).update(1, 4.2)
+    kept, ref = block.rows[2], weakref.ref(block)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del block
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+    for got, want in [(kept.gaussian_summary(), twin.gaussian_summary()),
+                      ([kept.sharpness()], [twin.sharpness()])]:
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("size", [64, 1024])
+def test_summaries_exist_from_construction(size):
+    for row in PosteriorGrid.uniform(size, rows=3).rows:
+        with pytest.raises(UndefinedMeanError):
+            row.gaussian_summary()
+    half = (0.0, math.pi)
+    lone = PosteriorGrid.uniform(size, support=half)
+    mu, _ = lone.gaussian_summary()
+    assert abs(mu - math.pi / 2) <= 1e-12
+    assert abs(lone.sharpness() - 2 / math.pi) <= 2 / size
+    for row in PosteriorGrid.uniform(size, support=half, rows=3).rows:
+        assert [v.hex() for v in row.gaussian_summary()] == [
+            v.hex() for v in lone.gaussian_summary()
+        ]
+        assert row.sharpness().hex() == lone.sharpness().hex()
 
 
 # Checks in a fresh interpreter, so that the BLAS thread count set in its
