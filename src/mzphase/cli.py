@@ -22,7 +22,6 @@ import functools
 import json
 import math
 import os
-import secrets
 import sys
 from dataclasses import fields
 
@@ -208,6 +207,8 @@ def _load_config(command, args):
         if key not in ("config", "command") and value is not None:
             merged[key] = value
     if merged.get("seed") is None:
+        import secrets  # it imports hashlib, slow to import, for a seedless run only
+
         merged["seed"] = secrets.randbits(63)
     checked = {
         key: None if merged.get(key) is None and default is None

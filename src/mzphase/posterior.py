@@ -25,7 +25,9 @@ likelihood over the index span of the support only (half the grid for a
 [0, pi] prior) and divides by the total over that span only, so weights
 outside it stay exactly +0.0 (0.0 / total is +0.0). The normalising sum
 still runs over every weight, because its pairwise order depends on the
-length. The PGH draw builds its cumulative sum in the scratch. A grid
+length. The PGH draw finds its point from block sums and one block's
+cumulative sum, built in the scratch, and builds the full sequential
+cumulative sum there only when rounding could move the point. A grid
 binds the views an update reads once, when it takes its weights (at
 construction and copy): the span of the weights and of the scratch as
 rows, and the span's phases. An update builds no view, and the weights
@@ -62,8 +64,10 @@ DEFAULT_GRID_SIZE = 2 ** 17
 
 _RESULTANT_EPS = 1e-12
 
-# entries of the cumulative sum built per step of PosteriorGrid.sample
-_CDF_BLOCK = 8192
+# weights per block sum of PosteriorGrid.sample's fast path
+_CDF_BLOCK = 1024
+
+_EPS = np.finfo(float).eps  # 2^-52, twice the unit roundoff
 
 
 class DegeneratePosteriorError(Exception):
@@ -84,6 +88,14 @@ class GaussianSummary(NamedTuple):
 
     mu: float
     sigma: float
+
+
+def _cdf_index(weights, u, cdf):
+    """The draw's definition: the index of the first entry of the full
+    sequential cumulative sum of weights (built in cdf) above u, clamped
+    to the last point."""
+    weights.cumsum(out=cdf)
+    return min(int(cdf.searchsorted(u, side="right")), len(weights) - 1)
 
 
 @lru_cache(maxsize=8)
@@ -287,27 +299,47 @@ class PosteriorGrid:
         return self._summary
 
     def sample(self, rng):
-        """Draw a grid point with probability equal to its weight.
+        """Draw a grid point with probability equal to its weight: the
+        index _cdf_index gives, the first entry of the full sequential
+        cumulative sum S above the uniform u, clamped to the last point.
 
-        The cumulative sum is built block by block, each block seeded
-        with the running total, up to the first block that passes the
-        draw. cumsum adds strictly in sequence, so the index is the one
-        the full cumulative sum gives, clamped to the last point.
+        A grid of more than one block finds that index without a
+        sequential pass over every weight. The pairwise sums of blocks of
+        _CDF_BLOCK weights and their cumulative sum locate the block whose
+        end passes u; that block's cumulative sum plus the offset before
+        it gives P, and the first P_i above u is the candidate i.
+
+        S_j and P_j both add the non-negative w_0..w_j, in different
+        orders. Any order of adding m non-negative terms has a relative
+        error of at most gamma_(m-1) = (m - 1) eps/2 / (1 - (m - 1) eps/2)
+        (Higham, SIAM J. Sci. Comput. 14, 783 (1993)), so with G points
+        and total T, |P_j - S_j| <= 2 gamma_(G-1) T, just above
+        (G - 1) eps T. The candidate is taken only when P_i - u and
+        u - P_(i-1) (the offset when i starts a block, 0 for i = 0) both
+        exceed margin = 4 G eps max(1, P_last): about four times that
+        bound, since P_last lies within gamma_(G-1) T of T, with room for
+        the rounding of the two differences. Then S_(i-1) < u < S_i, so
+        i is the index S gives. When u lies within the margin of P_i or
+        P_(i-1), or past the last block, _cdf_index decides.
         """
         self._one_posterior()
         u = rng.random()
-        idx = self.grid_size - 1
-        total = 0.0
-        for start in range(0, self.grid_size, _CDF_BLOCK):
-            cdf = self._scratch[start:start + _CDF_BLOCK]
-            cdf[:] = self._weights[start:start + _CDF_BLOCK]
-            cdf[0] += total
-            np.cumsum(cdf, out=cdf)
-            total = cdf[-1]
-            if total > u:
-                idx = start + int(np.searchsorted(cdf, u, side="right"))
-                break
-        return float(self.phis[idx])
+        weights, cdf = self._weights, self._scratch
+        n = len(weights)
+        if n > _CDF_BLOCK:  # on one block the full cumulative sum costs no more
+            offsets = np.add.reduceat(weights, np.arange(0, n, _CDF_BLOCK)).cumsum()
+            b = int(offsets.searchsorted(u, side="right"))
+            if b < len(offsets):
+                margin = 4 * n * _EPS * max(1.0, offsets[-1])
+                start = b * _CDF_BLOCK
+                block = weights[start:start + _CDF_BLOCK].cumsum(out=cdf[start:start + _CDF_BLOCK])
+                offset = offsets[b - 1] if b else 0.0
+                block += offset
+                k = int(block.searchsorted(u, side="right"))
+                below = block[k - 1] if k else offset
+                if k < len(block) and block[k] - u > margin and u - below > margin:
+                    return float(self.phis[start + k])
+        return float(self.phis[_cdf_index(weights, u, cdf)])
 
     def dump_csv(self, path):
         """Write the snapshot as CSV with columns (phi, weight)."""

@@ -23,7 +23,6 @@ than velocity damping for convergence, and benefits from small omega
 and tight velocity clamps.
 """
 
-import hashlib
 import json
 import math
 import warnings
@@ -222,6 +221,8 @@ class PsoConfig:
 
     def digest(self):
         """Short stable hash of the configuration, stored in policy files."""
+        import hashlib  # OpenSSL's _hashlib is slow to import, and only this needs it
+
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 

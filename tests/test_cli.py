@@ -363,6 +363,24 @@ def test_console_entry_point_runs(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cli_leaves_out_hashing_and_process_pools(tmp_path):
+    # both are slow to import: only a seedless run, a policy digest and a
+    # worker pool take them, on first use
+    code = ("import sys, mzphase.cli; "
+            "print(sorted({'hashlib', 'concurrent.futures'} & set(sys.modules)))")
+    pythonpath = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))},
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    seedless = run_cli("estimate", "--strategy", "inversion", "--phi-true", "1.0", "--n", "2",
+                       "--out", "out", cwd=tmp_path)
+    assert seedless.returncode == 0, seedless.stderr
+    seed = json.loads((tmp_path / "out" / "meta.json").read_text())["seed"]
+    assert isinstance(seed, int) and 0 <= seed < 2 ** 63
+
+
 def test_non_finite_channel_is_config_error(tmp_path):
     for spec in ("phase:nan", "phase:inf"):
         estimate = run_cli(

@@ -20,6 +20,7 @@ from mzphase import (
     UndefinedMeanError,
     make_generator,
     noisy_likelihood,
+    run_estimation,
     wrap_phase,
 )
 
@@ -257,25 +258,78 @@ class FixedDraw:
         return self.u
 
 
+def _oracle_weights(rng, grid_size):
+    """Weight sets that stress the draw's rounding margin, by name."""
+    sparse = rng.random(grid_size) ** 4
+    sparse[rng.random(grid_size) < 0.05] = 0.0
+    # zeros after each block boundary tie its last CDF value to the next block's first ones
+    for edge in range(_CDF_BLOCK, grid_size, _CDF_BLOCK):
+        sparse[edge:edge + 3] = 0.0
+    # long runs of zeros across each block edge
+    zero_runs = rng.random(grid_size)
+    for edge in range(_CDF_BLOCK, grid_size, _CDF_BLOCK):
+        zero_runs[edge - _CDF_BLOCK // 3:edge + _CDF_BLOCK // 3] = 0.0
+    return {
+        "sparse": sparse,
+        "uniform": np.ones(grid_size),  # exact ties at every k/G
+        "wide": 10.0 ** rng.uniform(-300.0, 0.0, grid_size),
+        "zero runs": zero_runs,
+    }
+
+
 @pytest.mark.parametrize(
     "grid_size",
-    [1000, _CDF_BLOCK - 1, _CDF_BLOCK, _CDF_BLOCK + 1, 2 * _CDF_BLOCK, 3 * _CDF_BLOCK + 5],
+    # many blocks from 8191 on, and the default grid
+    [2, 3, 1000, _CDF_BLOCK - 1, _CDF_BLOCK, _CDF_BLOCK + 1, 2 * _CDF_BLOCK, 3 * _CDF_BLOCK + 5,
+     8191, 8192, 8193, 16384, 24581, 2 ** 17],
 )
 def test_sample_matches_full_cdf_oracle(grid_size):
     rng = make_generator(17)
-    weights = rng.random(grid_size) ** 4
-    weights[rng.random(grid_size) < 0.05] = 0.0
-    # zeros after each block boundary tie its last CDF value to the next block's first ones
-    for edge in range(_CDF_BLOCK, grid_size, _CDF_BLOCK):
-        weights[edge:edge + 3] = 0.0
-    grid = PosteriorGrid(weights)
+    for kind, weights in _oracle_weights(rng, grid_size).items():
+        grid = PosteriorGrid(weights)
+        cdf = np.cumsum(grid.weights)
+        randoms = rng.random(20).tolist()
+        draws = [0.0, 1.0 - 2.0 ** -53, *randoms, *(np.arange(1, 4) / 4 * cdf[-1]).tolist()]
+        # at, just below and just above the prefix sums around a crossing
+        crossings = [cdf_draw_index(grid.weights, u) for u in randoms[:4]]
+        near = {j for i in crossings for j in range(i - 2, i + 3)}
+        edges = range(_CDF_BLOCK - 1, grid_size, _CDF_BLOCK)
+        for j in sorted(near.union(edges, [grid_size - 1])):
+            if 0 <= j < grid_size:
+                at = cdf[j]
+                draws += [float(np.nextafter(at, -1.0)), float(at), float(np.nextafter(at, 2.0))]
+        for u in draws:
+            want = grid.phis[cdf_draw_index(grid.weights, u)]
+            assert grid.sample(FixedDraw(u)) == want, (kind, u)
+        # a draw at or past the last prefix sum clamps to the last point
+        for u in (float(cdf[-1]), float(np.nextafter(cdf[-1], 2.0))):
+            assert grid.sample(FixedDraw(u)) == grid.phis[-1], (kind, u)
+
+
+def _count_exact_draws(monkeypatch):
+    calls = []
+    exact = posterior._cdf_index
+    monkeypatch.setattr(posterior, "_cdf_index", lambda *a: calls.append(1) or exact(*a))
+    return calls
+
+
+def test_a_draw_on_a_prefix_sum_takes_the_full_cumulative_sum(monkeypatch):
+    calls = _count_exact_draws(monkeypatch)
+    grid = PosteriorGrid(make_generator(19).random(4096))
     cdf = np.cumsum(grid.weights)
-    draws = [0.0, float(np.nextafter(cdf[-1], 2.0)), 1.0 - 2.0 ** -53, *rng.random(20)]
-    for edge in [*range(_CDF_BLOCK, grid_size, _CDF_BLOCK), grid_size]:
-        at = cdf[edge - 1]
-        draws += [float(np.nextafter(at, -1.0)), float(at), float(np.nextafter(at, 2.0))]
-    for u in draws:
-        assert grid.sample(FixedDraw(u)) == grid.phis[cdf_draw_index(grid.weights, u)], u
+    for j in (0, 700, _CDF_BLOCK - 1, _CDF_BLOCK, 4000):
+        before = len(calls)
+        u = float(cdf[j])
+        assert grid.sample(FixedDraw(u)) == grid.phis[cdf_draw_index(grid.weights, u)]
+        assert len(calls) == before + 1
+
+
+def test_a_pgh_run_at_the_default_grid_draws_without_the_full_cumulative_sum(monkeypatch):
+    calls = _count_exact_draws(monkeypatch)
+    run_estimation(1.0, 100, "pgh", seed=5)
+    # a uniform lands within the rounding margin of the two prefix sums
+    # that bracket it with probability about 4 * 2^17 * 2^-52 per draw
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("channel", [IDEAL, NoiseChannel.depolarizing(0.1), NoiseChannel.phase(0.3)])
