@@ -8,10 +8,10 @@ Configuration comes from an optional JSON file (--config) merged with
 command-line overrides; unknown keys are rejected, and every option of a
 subcommand is checked once where it enters, against its table row, even
 one that the subcommand or the chosen strategy does not read. Every
-command writes a ``meta.json`` with the fully resolved configuration,
-including the seed (drawn and recorded when not supplied), and that file
-can be fed back via --config to reproduce the outputs byte for byte. All
-outputs stay inside the --out directory.
+command that succeeds leaves a ``meta.json`` with the fully resolved
+configuration, including the seed (drawn and recorded when not
+supplied), and that file can be fed back via --config to reproduce the
+outputs byte for byte. All outputs stay inside the --out directory.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime error.
 """
@@ -33,7 +33,7 @@ from .harness import (
     sweep_phases,
     write_batch_csv,
 )
-from .heuristics import GO_FALLBACKS, HEURISTIC_KINDS, SIGN_CONVENTIONS, Heuristic
+from .heuristics import GO_FALLBACKS, HEURISTIC_KINDS, SIGMA_VALID_MAX, SIGN_CONVENTIONS, Heuristic
 from .interferometer import IDEAL, NoiseChannel, precision_bound
 from .posterior import DEFAULT_GRID_SIZE
 from .pso import Policy, PsoConfig, train_policy
@@ -146,7 +146,7 @@ _POSTERIOR = (
     ("model_channel", _channel, "ideal", "channel the posterior update assumes"),
     ("grid_size", int, DEFAULT_GRID_SIZE, "posterior grid points"),
     ("sign_convention", SIGN_CONVENTIONS, "alternate", "sign of the go offset"),
-    ("go_fallback", GO_FALLBACKS, "real-part", "go rule where sigma > 0.921"),
+    ("go_fallback", GO_FALLBACKS, "real-part", f"go rule where sigma > {SIGMA_VALID_MAX}"),
     ("policy_file", str, None, "policy.json for the policy strategy"),
 )
 _OPTIONS = {
@@ -245,19 +245,12 @@ def _out_path(opts, *parts):
     return os.path.join(opts["out"], *parts)
 
 
-def _write_meta(config):
-    """Echo the resolved configuration; reusable via --config."""
-    with open(_out_path(config, "meta.json"), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ------------------------------------------------------------------
-# commands: each reads the checked values of its options
+# commands: each takes the checked values of its options and returns an
+# exit code; main loads the options and writes meta.json
 
-def cmd_estimate(args):
+def cmd_estimate(opts):
     """run one estimation trajectory"""
-    config, opts = _load_config("estimate", args)
     n = opts["n"]
     strategy = _resolve_strategy(_require(opts, "strategy"), opts, n)
     phi_true = _require(opts, "phi_true")
@@ -274,7 +267,6 @@ def cmd_estimate(args):
         seed=[opts["seed"]], snapshot=snapshot,
     )
     record.write_json(_out_path(opts, "run.json"))
-    _write_meta(config)
     final_sigma = record.sigmas[-1]
     sigma_text = "n/a" if math.isnan(final_sigma) else f"{final_sigma:.6f}"
     print(
@@ -284,9 +276,8 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_train_policy(args):
+def cmd_train_policy(opts):
     """train an offline feedback policy"""
-    config, opts = _load_config("train-policy", args)
     n = _require(opts, "n")
     swarm = {f.name: opts[f.name] for f in fields(PsoConfig)
              if f.name != "seed" and opts[f.name] is not None}
@@ -298,7 +289,6 @@ def cmd_train_policy(args):
     policy = train_policy(n, channel=opts["channel"], config=pso_config)
     path = _out_path(opts, "policy.json")
     policy.save(path)
-    _write_meta(config)
     holevo = 1.0 / policy.sharpness ** 2 - 1.0
     print(
         f"trained policy n={n}: sharpness={policy.sharpness:.6f} "
@@ -307,9 +297,8 @@ def cmd_train_policy(args):
     return 0
 
 
-def cmd_benchmark(args):
+def cmd_benchmark(opts):
     """batch statistics over phases and channels"""
-    config, opts = _load_config("benchmark", args)
     n, m = opts["n"], opts["m"]
     resolved = [(name, _resolve_strategy(name, opts, n)) for name in opts["strategies"] or ["go"]]
 
@@ -330,7 +319,6 @@ def cmd_benchmark(args):
 
     write_batch_csv(_out_path(opts, "benchmark.csv"), rows)
     write_batch_csv(_out_path(opts, "summary.csv"), summary)
-    _write_meta(config)
     print(f"benchmark: {len(rows)} rows -> {_out_path(opts, 'benchmark.csv')}")
     return 0
 
@@ -367,9 +355,8 @@ def _plot_rows_from_batch(path, figure_id):
     return rows
 
 
-def cmd_plot_data(args):
+def cmd_plot_data(opts):
     """reshape results into tidy CSV"""
-    config, opts = _load_config("plot-data", args)
     inputs = _require(opts, "inputs")
     figure_id = _require(opts, "figure_id")
 
@@ -394,7 +381,6 @@ def cmd_plot_data(args):
         writer.writerow(["figure_id", "series", "x", "y", "yerr"])
         for row in rows:
             writer.writerow(row)
-    _write_meta(config)
     print(f"plot-data: {len(rows)} rows -> {out_csv}")
     return 0
 
@@ -453,7 +439,13 @@ def main(argv=None):
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config, opts = _load_config(args.command, args)
+        status = _COMMANDS[args.command](opts)
+        if status == 0:  # echo the resolved configuration, reusable via --config
+            with open(_out_path(opts, "meta.json"), "w") as fh:
+                json.dump(config, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

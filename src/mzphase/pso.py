@@ -219,13 +219,6 @@ class PsoConfig:
             raise ValueError("velocity_clamp and init_range must be positive")
         return self
 
-    def digest(self):
-        """Short stable hash of the configuration, stored in policy files."""
-        import hashlib  # OpenSSL's _hashlib is slow to import, and only this needs it
-
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
-
 
 def pso_step(swarm, config, fitness, rng):
     """One swarm iteration, updating the record array swarm in place.
@@ -304,7 +297,7 @@ def train_policy(n, channel=IDEAL, config=None):
     return Policy(
         swarm.best_position[best].copy(),
         channel=channel,
-        config={"hash": config.digest(), **asdict(config)},
+        config=asdict(config),
         sharpness=float(swarm.best_fitness[best]),
         seed=config.seed,
     )

@@ -350,6 +350,10 @@ def test_plot_data_malformed_input_is_runtime_error(tmp_path):
         "--out", "plot", cwd=tmp_path,
     )
     assert result.returncode == 3, result.stderr
+    # a failed command leaves no plotdata.csv and no meta.json
+    out = tmp_path / "plot"
+    assert not (out / "plotdata.csv").exists()
+    assert not (out / "meta.json").exists()
 
 
 def test_console_entry_point_runs(tmp_path):
@@ -364,8 +368,8 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_importing_the_cli_leaves_out_hashing_and_process_pools(tmp_path):
-    # both are slow to import: only a seedless run, a policy digest and a
-    # worker pool take them, on first use
+    # both are slow to import: only a seedless run and a worker pool take
+    # them, on first use
     code = ("import sys, mzphase.cli; "
             "print(sorted({'hashlib', 'concurrent.futures'} & set(sys.modules)))")
     pythonpath = [_PACKAGE_ROOT, os.environ.get("PYTHONPATH")]

@@ -298,6 +298,29 @@ def test_zero_resultant_row_leaves_its_block_neighbours_alone():
         _same_bits(record, run_estimation(1.0, 2, "pgh", grid_size=1024, seed=[40, 0, i]))
 
 
+@pytest.mark.parametrize("model", [NoiseChannel.depolarizing(1.0), NoiseChannel.phase(1e200)])
+def test_a_model_channel_without_a_fringe_leaves_the_posterior_flat(model):
+    # v = 0: every likelihood is flat, so a full-circle posterior keeps a
+    # zero resultant and no estimate past step 1's feedback
+    assert model.visibility == 0.0
+    n = 20
+    phis = PosteriorGrid.uniform(64).phis
+    for name in ("go", "pgh"):
+        record = run_estimation(1.0, n, name, model_channel=model, grid_size=64, seed=[5])
+        assert np.isnan(record.sigmas).all()
+        assert (record.estimates == record.feedbacks[0]).all()
+        assert ((record.feedbacks >= 0.0) & (record.feedbacks < 2 * math.pi)).all()
+        if name == "go":  # a uniform phase at every step
+            assert len(set(record.feedbacks.tolist())) == n
+        else:  # a grid point at every step
+            assert np.isin(record.feedbacks, phis).all()
+            assert len(set(record.feedbacks.tolist())) > 1
+    # on [0, pi] the flat posterior's mean is pi/2
+    record = run_estimation(1.0, n, "bayes-fixed", model_channel=model, grid_size=64, seed=[5])
+    assert np.abs(record.estimates - math.pi / 2).max() < 1e-12
+    assert np.isfinite(record.sigmas).all()
+
+
 @pytest.mark.parametrize("strategy", ["go", "inversion", "bayes-fixed"])
 @pytest.mark.parametrize("grid_size", [0, 1, -4])
 def test_run_batch_rejects_a_grid_of_fewer_than_two_points(strategy, grid_size):

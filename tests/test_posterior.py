@@ -541,7 +541,8 @@ def test_a_zero_resultant_row_in_a_block_raises_alone():
         block.update(np.array(xs), np.array(fbs))
         for grid, x, fb in zip(lone, xs, fbs):
             grid.update(x, fb)
-    # the zero row asks first, so its failing summary takes every row's
+    # each update sets every row's summary with its weights: the zero row
+    # has none, so asking raises every time, and the other rows keep theirs
     for _ in range(2):
         with pytest.raises(UndefinedMeanError):
             block.rows[0].gaussian_summary()

@@ -305,7 +305,7 @@ def test_train_policy_deterministic_and_wrapped():
     assert np.array_equal(a.deltas, b.deltas)
     assert a.sharpness == b.sharpness
     assert np.all((a.deltas > -math.pi) & (a.deltas <= math.pi))
-    assert a.config["hash"] == b.config["hash"]
+    assert a.config == b.config
     assert a.seed == 7
 
 
