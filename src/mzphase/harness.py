@@ -45,22 +45,6 @@ from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid, UndefinedMeanError
 from .pso import Policy, apply_policy_step
 from .rng import Draws, make_generator
 
-__all__ = [
-    "RunRecord",
-    "BatchStats",
-    "PhaseBatch",
-    "run_estimation",
-    "run_batch",
-    "sweep_phases",
-    "batch_stats_at_step",
-    "phase_average",
-    "sigma_vs_probes",
-    "reference_curves",
-    "write_batch_csv",
-    "BATCH_CSV_COLUMNS",
-    "STRATEGIES",
-]
-
 
 # every strategy name run_estimation takes; "policy" is given as a Policy
 STRATEGIES = (*HEURISTIC_KINDS, "policy", "inversion", "bayes-fixed")

@@ -26,19 +26,6 @@ from dataclasses import dataclass
 from .circular import TWO_PI, wrap_phase
 from .posterior import UndefinedMeanError
 
-__all__ = [
-    "SIGMA_VALID_MAX",
-    "HEURISTIC_KINDS",
-    "GO_FALLBACKS",
-    "SIGN_CONVENTIONS",
-    "Heuristic",
-    "offset_coefficient",
-    "feedback_offset",
-    "go_feedback",
-    "pgh_feedback",
-    "next_feedback",
-]
-
 # largest sigma for which the arccos argument stays inside [-1, 1]
 SIGMA_VALID_MAX = 0.921
 

@@ -27,16 +27,6 @@ import numpy as np
 
 from .rng import box_muller, normal
 
-__all__ = [
-    "NoiseChannel",
-    "IDEAL",
-    "noisy_likelihood",
-    "sample_outcome",
-    "sample_outcomes",
-    "fisher_information",
-    "precision_bound",
-]
-
 
 # kind -> (its parameter, visibility v, fair-coin weight q) of the fringe
 # v p(x) + q/2, and the uniforms sample_outcomes draws per sample and probe.

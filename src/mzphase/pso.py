@@ -34,15 +34,6 @@ from .circular import TWO_PI, wrap_phase, wrap_signed
 from .interferometer import IDEAL, NoiseChannel, sample_outcomes
 from .rng import make_generator
 
-__all__ = [
-    "Policy",
-    "PsoConfig",
-    "apply_policy_step",
-    "estimate_sharpness",
-    "pso_step",
-    "train_policy",
-]
-
 # training quality degrades for long policies; warn past this length
 POLICY_LENGTH_SOFT_LIMIT = 50
 
@@ -59,7 +50,6 @@ class Policy:
     channel: NoiseChannel = IDEAL
     config: dict = field(default_factory=dict)
     sharpness: float | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         deltas = np.asarray(self.deltas, dtype=float)
@@ -80,7 +70,6 @@ class Policy:
             "channel": self.channel.to_dict(),
             "config": self.config,
             "sharpness": self.sharpness,
-            "seed": self.seed,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -104,7 +93,6 @@ class Policy:
             channel=NoiseChannel.from_dict(channel),
             config=payload.get("config", {}),
             sharpness=payload.get("sharpness"),
-            seed=payload.get("seed"),
         )
 
 
@@ -299,5 +287,4 @@ def train_policy(n, channel=IDEAL, config=None):
         channel=channel,
         config=asdict(config),
         sharpness=float(swarm.best_fitness[best]),
-        seed=config.seed,
     )

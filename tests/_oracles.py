@@ -1,13 +1,17 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: quadrature on
-dense grids, finite differences, and direct formula evaluation.
+dense grids, finite differences, and direct formula evaluation. The one
+exception is exact_go_sharpness, which enumerates the outcomes of go's
+feedback rule and so takes the rule's offset from the library.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from mzphase import IDEAL, feedback_offset
 
 
 @lru_cache(maxsize=None)
@@ -172,3 +176,53 @@ def pso_step_per_particle(particles, config, fitness, rng):
         )
         np.clip(particle.velocity, -clamp, clamp, out=particle.velocity)
         particle.position = config.omega * particle.velocity + particle.position
+
+
+def exact_go_sharpness(n, sample_channel, model_channel=IDEAL, grid_size=None):
+    """Exact |E e^{i(phi - mu)}| of an n-probe go run with the alternate
+    sign, phi uniform, by enumerating its 2^n outcome sequences.
+
+    go's first feedback is uniform and every later one a function of the
+    outcomes, so by rotation covariance Phi_1 = 0 loses nothing. The tree
+    is walked breadth first: each node holds its posterior under the
+    model channel and its path likelihood under the sample channel, on
+    a grid of grid_size points (n + 4 by default). Both are
+    trigonometric polynomials of degree <= n, so the grid's sums of them
+    and of their products with e^{i phi} are exact. The sharpness is
+    |sum_x e^{-i mu(x)} integral P_sample(x | phi) e^{i phi} dphi / 2 pi|,
+    with mu(x) the final posterior's circular mean.
+
+    Raises ValueError at a node whose resultant is below 1e-12: go draws
+    a random feedback there (or holds the previous estimate at the last
+    step), which the enumeration does not follow.
+    """
+    size = n + 4 if grid_size is None else grid_size
+    phis = np.arange(size) * (2.0 * math.pi / size)
+    phasors = np.exp(1j * phis)
+    model = np.ones((1, size))
+    sample = np.ones((1, size))
+    feedback = np.zeros(1)
+
+    def children(weights, channel):
+        # outcome 0 then outcome 1: p(x) = (1 +- v cos(phi - Phi)) / 2
+        v = channel.visibility
+        return np.concatenate([weights * (1.0 + v * fringe), weights * (1.0 - v * fringe)]) / 2.0
+
+    def means(weights):
+        z = weights @ phasors / weights.sum(axis=1)
+        r = np.abs(z)
+        if r.min() < 1e-12:
+            raise ValueError("a node's posterior has a zero resultant: go draws a random feedback")
+        return np.angle(z), np.sqrt(np.maximum(1.0 / (r * r) - 1.0, 0.0))
+
+    for k in range(1, n + 1):
+        if k > 1:
+            sign = 1.0 if k % 2 == 0 else -1.0
+            mu, sigma = means(model)
+            feedback = mu + sign * np.array([feedback_offset(s) for s in sigma])
+        fringe = np.cos(phis - feedback[:, None])
+        model = children(model, model_channel)
+        model /= model.sum(axis=1, keepdims=True)
+        sample = children(sample, sample_channel)
+    mu, _ = means(model)
+    return float(abs(np.exp(-1j * mu) @ (sample @ phasors)) / size)

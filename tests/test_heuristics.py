@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from mzphase import (
+    IDEAL,
     SIGMA_VALID_MAX,
     GaussianSummary,
     Heuristic,
+    NoiseChannel,
     PosteriorGrid,
     feedback_offset,
     go_feedback,
@@ -15,11 +17,13 @@ from mzphase import (
     next_feedback,
     offset_coefficient,
     pgh_feedback,
+    run_batch,
     wrap_phase,
 )
 
 from _oracles import (
     argmin_expected_posterior_variance,
+    exact_go_sharpness,
     expected_posterior_variance,
     expected_posterior_variance_closed_form,
     wrapped_normal_weights,
@@ -217,3 +221,48 @@ def test_next_feedback_random_sign_convention_uses_both_signs():
 def test_next_feedback_rejects_bad_step():
     with pytest.raises(ValueError):
         next_feedback(Heuristic(), PosteriorGrid.uniform(64), 0, make_generator(27))
+
+
+CHANNELS = [IDEAL, NoiseChannel.depolarizing(0.25), NoiseChannel.phase(1.0)]
+
+
+def test_exact_go_sharpness_does_not_depend_on_the_grid():
+    # n + 4 points already sum every integrand exactly
+    for n in range(1, 13):
+        for channel in CHANNELS:
+            assert exact_go_sharpness(n, channel) == pytest.approx(
+                exact_go_sharpness(n, channel, grid_size=n + 20), abs=1e-9
+            ), (n, channel)
+
+
+def test_exact_go_sharpness_is_at_most_the_optimal_ideal_sharpness():
+    # S_n is the largest sharpness any n single-photon probes reach on the
+    # ideal channel; one probe with Phi_1 = 0 reaches it
+    for n in range(1, 13):
+        bound = sum(
+            math.sqrt(math.comb(n, k) * math.comb(n, k + 1)) for k in range(n)
+        ) / 2 ** n
+        exact = exact_go_sharpness(n, IDEAL)
+        assert exact <= bound + 1e-12, n
+        if n == 1:
+            assert exact == pytest.approx(bound, abs=1e-12)
+
+
+@pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.kind)
+def test_go_batches_match_the_exact_sharpness(channel):
+    n, phases, m = 10, 6, 1000
+    errors = []
+    for j in range(phases):
+        phi = (j + 0.5) * TWO_PI / phases
+        _, records = run_batch(
+            phi, n, "go", m, sample_channel=channel, model_channel=IDEAL, grid_size=64,
+            base_seed=1, phase_index=j,
+        )
+        errors.extend(r.final_estimate - phi for r in records)
+    errors = np.array(errors)
+    mean = np.exp(1j * errors).mean()
+    # the standard error of the cosines about the pooled mean direction
+    cosines = np.cos(errors - np.angle(mean))
+    se = cosines.std(ddof=1) / math.sqrt(len(cosines))
+    z = (abs(mean) - exact_go_sharpness(n, channel)) / se
+    assert abs(z) < 4.0, z

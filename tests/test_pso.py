@@ -88,9 +88,8 @@ def test_policy_file_roundtrip(tmp_path):
     policy = Policy(
         np.array([0.3, -0.2, 1.1]),
         channel=NoiseChannel.depolarizing(0.1),
-        config={"hash": "abc"},
+        config={"seed": 5},
         sharpness=0.87,
-        seed=5,
     )
     path = tmp_path / "policy.json"
     policy.save(path)
@@ -98,7 +97,7 @@ def test_policy_file_roundtrip(tmp_path):
     assert np.array_equal(loaded.deltas, policy.deltas)
     assert loaded.channel == policy.channel
     assert loaded.sharpness == policy.sharpness
-    assert loaded.seed == 5
+    assert loaded.config == {"seed": 5}
 
 
 def test_policy_rejects_non_finite_increments(tmp_path):
@@ -306,7 +305,7 @@ def test_train_policy_deterministic_and_wrapped():
     assert a.sharpness == b.sharpness
     assert np.all((a.deltas > -math.pi) & (a.deltas <= math.pi))
     assert a.config == b.config
-    assert a.seed == 7
+    assert a.config["seed"] == 7
 
 
 # Recorded from the per-particle evaluator that preceded swarm-batched
