@@ -6,10 +6,10 @@ run_index) draws every random quantity from
 batches are reproducible run by run and safe to evaluate in a worker
 pool; aggregation always happens in run-index order.
 
-One loop runs every strategy, over a block of runs in lockstep: at each
-probe step every run draws its feedback and its outcome from its own
-generator, with the same calls in the same order as a run alone; then
-one posterior update advances the whole block (see posterior). A batch
+One loop advances a block of runs in lockstep: at each probe step
+every run draws its feedback and its outcome from its own generator,
+with the same calls in the same order as a run alone; then one
+posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
@@ -17,6 +17,14 @@ A run draws its uniforms in blocks of one value per probe, hands them
 out one by one, draws another block when one runs out, and at its end
 rewinds its generator to the draws taken (see rng.Draws): its values
 and final generator state are those of one-by-one draws.
+A run that holds its feedback at 0 (inversion, bayes-fixed) has
+outcomes that depend on its uniforms alone. It takes all of them as
+one array before the first step and samples every outcome from it
+(interferometer._sample_fixed_outcomes), with the values and the final
+generator state of one-by-one draws. Inversion then has no step loop:
+its estimates are read from a table of inversion_estimate by step and
+zero count (evaluated one by one past _INVERSION_TABLE_STEPS probes),
+and bayes-fixed's updates run over the known outcomes.
 
 Strategies:
 
@@ -39,7 +47,13 @@ import numpy as np
 
 from .circular import TWO_PI, holevo_sigma, wrap_phase, wrap_signed
 from .heuristics import HEURISTIC_KINDS, Heuristic, next_feedback
-from .interferometer import IDEAL, NoiseChannel, precision_bound, sample_outcome
+from .interferometer import (
+    IDEAL,
+    NoiseChannel,
+    _sample_fixed_outcomes,
+    precision_bound,
+    sample_outcome,
+)
 from .nonadaptive import inversion_estimate
 from .posterior import DEFAULT_GRID_SIZE, PosteriorGrid, UndefinedMeanError
 from .pso import Policy, apply_policy_step
@@ -162,6 +176,32 @@ def _resolve_strategy(strategy):
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
+# the longest run whose inversion estimates come from a table of every
+# (step, zero count) pair: its n (n + 3) / 2 inversion_estimate calls
+# take under 1 ms, so a lone run pays little for it, and the tables of
+# every length up to this one hold 0.7 MiB together
+_INVERSION_TABLE_STEPS = 64
+
+
+@functools.cache
+def _inversion_table(n):
+    """inversion_estimate(n0, k) at [k - 1, n0], for 0 <= n0 <= k <= n."""
+    table = np.zeros((n, n + 1))
+    for k in range(1, n + 1):
+        table[k - 1, :k + 1] = [inversion_estimate(n0, k) for n0 in range(k + 1)]
+    table.setflags(write=False)
+    return table
+
+
+def _inversion_estimates(outcomes):
+    """The inversion estimate after each probe of each row of outcomes."""
+    zeros = np.cumsum(outcomes == 0, axis=1)
+    n = outcomes.shape[1]
+    if n <= _INVERSION_TABLE_STEPS:
+        return _inversion_table(n)[np.arange(n), zeros]
+    return [[inversion_estimate(n0, k) for k, n0 in enumerate(row, 1)] for row in zeros.tolist()]
+
+
 # grid points a batch advances at once: blocks of max(1, _BLOCK_POINTS // G)
 # runs, so a default-grid run stays alone and a block holds no more memory
 # than one default-grid posterior
@@ -208,7 +248,9 @@ def _run_rows(
     own generator, with the calls and in the order of a lone run; then
     one update advances the posteriors of all rows and sets every row's
     summary (see posterior), and the step's estimates and sigmas are
-    written as one column each.
+    written as one column each. A run that holds Phi = 0 (inversion,
+    bayes-fixed) samples all its outcomes before the first step, from
+    one array of the uniforms that its probes would draw one by one.
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
@@ -223,13 +265,22 @@ def _run_rows(
     phi_true = wrap_phase(phi_true)
     # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
     online = label in HEURISTIC_KINDS
+    fixed = label in ("inversion", "bayes-fixed")
     rngs = [Draws(make_generator(entropy), n) for entropy in seeds]
     rows = len(rngs)
 
-    feedbacks = np.empty((rows, n))
+    feedbacks = np.zeros((rows, n))
     outcomes = np.empty((rows, n), dtype=np.int64)
     estimates = np.empty((rows, n))
     sigmas = np.full((rows, n), math.nan)
+
+    if fixed:  # a run's outcomes depend on its uniforms alone: draw them first
+        d = sample_channel.probe_draws
+        for r, rng in enumerate(rngs):
+            u = rng.take(n * d).reshape(n, d)
+            outcomes[r] = _sample_fixed_outcomes(sample_channel, phi_true, u)
+    if label == "inversion":
+        estimates[:] = _inversion_estimates(outcomes)
 
     grid = None
     if online or label == "bayes-fixed":
@@ -237,16 +288,17 @@ def _run_rows(
         grid = PosteriorGrid.uniform(grid_size, support=support, rows=rows)
         views = grid.rows
     # a policy starts from Phi_0 = 0 and x_0 = 0
-    fb, x, n0, est = [0.0] * rows, [0] * rows, [0] * rows, [0.0] * rows
-    for k in range(1, n + 1):
-        for r, rng in enumerate(rngs):
-            if label == "policy":
-                fb[r] = apply_policy_step(resolved, fb[r], x[r], k)
-            elif online:
-                fb[r] = next_feedback(resolved, views[r], k, rng)
-            x[r] = sample_outcome(sample_channel, phi_true, fb[r], rng)
-        feedbacks[:, k - 1] = fb
-        outcomes[:, k - 1] = x
+    fb, x, est = [0.0] * rows, [0] * rows, [0.0] * rows
+    for k in range(1, n + 1) if label != "inversion" else ():
+        if not fixed:
+            for r, rng in enumerate(rngs):
+                if label == "policy":
+                    fb[r] = apply_policy_step(resolved, fb[r], x[r], k)
+                else:
+                    fb[r] = next_feedback(resolved, views[r], k, rng)
+                x[r] = sample_outcome(sample_channel, phi_true, fb[r], rng)
+            feedbacks[:, k - 1] = fb
+            outcomes[:, k - 1] = x
         if grid is not None:
             grid.update(outcomes[:, k - 1], feedbacks[:, k - 1] if online else 0.0, model_channel)
             sig = [math.nan] * rows
@@ -260,12 +312,8 @@ def _run_rows(
                         est[r] = fb[r]
             estimates[:, k - 1] = est
             sigmas[:, k - 1] = sig
-        elif label == "policy":
+        else:  # a policy
             estimates[:, k - 1] = fb
-        else:
-            for r in range(rows):
-                n0[r] += x[r] == 0
-                estimates[r, k - 1] = inversion_estimate(n0[r], k)
     for rng in rngs:
         rng.close()
 

@@ -14,11 +14,13 @@ uniform draws (not the generator's native normal method), so a trace of
 uniform draws fully determines every trajectory.
 
 A run takes its uniforms through Draws, as blocks handed out one by
-one, and rewinds its generator to the draws taken: a block of doubles
-equals as many one-by-one doubles and each advances PCG64 one step, so
-the stream layout and the final state are those of one-by-one draws.
+one or as one array, and rewinds its generator to the draws taken: a
+block of doubles equals as many one-by-one doubles and each advances
+PCG64 one step, so the stream layout and the final state are those of
+one-by-one draws.
 """
 
+import itertools
 import math
 import operator
 
@@ -37,9 +39,9 @@ class Draws:
     handed out one by one. It stands in for the generator wherever only
     random() is called, with the same values.
 
-    A caller that takes more than count values gets another block; one
-    that takes fewer calls close(), which rewinds the generator to the
-    values taken.
+    The first block is drawn at the first random(). A caller that takes
+    more than count values gets another block; one that takes fewer
+    calls close(), which rewinds the generator to the values taken.
     """
 
     __slots__ = ("_rng", "_count", "_values")
@@ -48,14 +50,21 @@ class Draws:
         if count < 1:
             raise ValueError(f"draw count must be >= 1, got {count}")
         self._rng, self._count = rng, count
-        self._values = iter(rng.random(count).tolist())
+        self._values = iter(())
 
     def random(self):
         value = next(self._values, None)
-        if value is None:  # more values taken than count: draw another block
+        if value is None:  # the block is used up: draw another
             self._values = iter(self._rng.random(self._count).tolist())
             value = next(self._values)
         return value
+
+    def take(self, count):
+        """The values of count random() calls, as one array: what is left
+        of the block, then one draw of the rest from the generator."""
+        head = list(itertools.islice(self._values, count))
+        rest = self._rng.random(count - len(head))
+        return np.concatenate((head, rest)) if head else rest
 
     def close(self):
         """Leave the generator in the state that one-by-one draws of the

@@ -6,6 +6,7 @@ exception is exact_go_sharpness, which enumerates the outcomes of go's
 feedback rule and so takes the rule's offset from the library.
 """
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -226,3 +227,40 @@ def exact_go_sharpness(n, sample_channel, model_channel=IDEAL, grid_size=None):
         sample = children(sample, sample_channel)
     mu, _ = means(model)
     return float(abs(np.exp(-1j * mu) @ (sample @ phasors)) / size)
+
+
+def _binomial_resultant(n, phi, sample_channel, estimate):
+    """E e^{i estimate(n0)} of an estimate that is a function of the count
+    n0 of outcome 0 in n probes at Phi = 0, where n0 follows
+    Binomial(n, (1 + v cos phi) / 2) under a sample channel of visibility v."""
+    p0 = (1.0 + sample_channel.visibility * math.cos(phi)) / 2.0
+    return sum(
+        math.comb(n, n0) * p0 ** n0 * (1.0 - p0) ** (n - n0) * cmath.exp(1j * estimate(n0))
+        for n0 in range(n + 1)
+    )
+
+
+def exact_inversion_resultant(n, phi, sample_channel):
+    """Exact E e^{i est} of the inversion estimate 2 acos sqrt(n0 / n) of
+    n probes at the true phase phi."""
+    return _binomial_resultant(n, phi, sample_channel, lambda n0: 2.0 * math.acos(math.sqrt(n0 / n)))
+
+
+def exact_bayes_fixed_resultant(n, phi, sample_channel):
+    """Exact E e^{i est} of the fixed-feedback Bayesian estimate of n probes
+    at the true phase phi: the circular mean of the ideal-model posterior
+    on [0, pi] after n0 zeros and n1 = n - n0 ones.
+
+    That posterior makes t = cos^2(phi / 2) Beta(n0 + 1/2, n1 + 1/2), so
+    E cos phi = (2 n0 + 1) / (n + 1) - 1 and
+    E sin phi = 2 B(n0 + 1, n1 + 1) / B(n0 + 1/2, n1 + 1/2).
+    """
+    def log_beta(a, b):
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def estimate(n0):
+        n1 = n - n0
+        sin = 2.0 * math.exp(log_beta(n0 + 1, n1 + 1) - log_beta(n0 + 0.5, n1 + 0.5))
+        return math.atan2(sin, (2 * n0 + 1) / (n + 1) - 1.0)
+
+    return _binomial_resultant(n, phi, sample_channel, estimate)

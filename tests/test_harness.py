@@ -16,6 +16,7 @@ from mzphase import (
     PosteriorGrid,
     PsoConfig,
     batch_stats_at_step,
+    inversion_estimate,
     phase_average,
     reference_curves,
     run_batch,
@@ -284,6 +285,27 @@ def test_draw_block_size_moves_no_bit(name, spec, monkeypatch):
         for record, want in zip(records, expected):
             _same_bits(record, want)
         assert block_states == states
+
+
+def test_inversion_table_holds_every_estimate():
+    table = harness._inversion_table(60)
+    for k in range(1, 61):
+        assert table[k - 1, :k + 1].tolist() == [
+            inversion_estimate(n0, k) for n0 in range(k + 1)
+        ]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.1", "phase:0.3"])
+def test_inversion_estimates_follow_the_zero_counts(spec, extra):
+    # read from the table up to its length, evaluated one by one past it
+    n = harness._INVERSION_TABLE_STEPS + extra
+    _, records = run_batch(1.2, n, "inversion", 5, sample_channel=NoiseChannel.parse(spec))
+    for record in records:
+        zeros = np.cumsum(record.outcomes == 0).tolist()
+        assert record.estimates.tolist() == [
+            inversion_estimate(n0, k) for k, n0 in enumerate(zeros, 1)
+        ]
 
 
 def test_zero_resultant_row_leaves_its_block_neighbours_alone():

@@ -266,3 +266,25 @@ def test_go_batches_match_the_exact_sharpness(channel):
     se = cosines.std(ddof=1) / math.sqrt(len(cosines))
     z = (abs(mean) - exact_go_sharpness(n, channel)) / se
     assert abs(z) < 4.0, z
+
+
+def test_go_batches_match_the_exact_sharpness_under_a_noise_aware_model():
+    # a model visibility above 2/sqrt(5) leaves no zero resultant in go's tree
+    channel = NoiseChannel.depolarizing(0.05)
+    for n in range(1, 11):
+        exact_go_sharpness(n, channel, channel)  # raises at a zero resultant
+    n, phases, m = 10, 6, 1000
+    errors = []
+    for j in range(phases):
+        phi = (j + 0.5) * TWO_PI / phases
+        _, records = run_batch(
+            phi, n, "go", m, sample_channel=channel, model_channel=channel, grid_size=64,
+            base_seed=1, phase_index=j,
+        )
+        errors.extend(r.final_estimate - phi for r in records)
+    errors = np.array(errors)
+    mean = np.exp(1j * errors).mean()
+    cosines = np.cos(errors - np.angle(mean))
+    se = cosines.std(ddof=1) / math.sqrt(len(cosines))
+    z = (abs(mean) - exact_go_sharpness(n, channel, channel)) / se
+    assert abs(z) <= 4.0, z

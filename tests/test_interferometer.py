@@ -17,6 +17,9 @@ from mzphase import (
     wrap_phase,
 )
 
+from mzphase.interferometer import _sample_fixed_outcomes
+from mzphase.rng import Draws
+
 from _oracles import numeric_fisher_information
 
 DEP25 = NoiseChannel.depolarizing(0.25)
@@ -109,6 +112,31 @@ def test_sample_outcome_fair_coin_at_full_depolarization():
         np.empty((1, n)),
     )
     assert abs(np.mean(draws == 0) - 0.5) < 0.01
+
+
+FIXED_CHANNELS = [
+    IDEAL,
+    NoiseChannel.depolarizing(0.0),
+    NoiseChannel.depolarizing(0.1),
+    NoiseChannel.depolarizing(1.0),
+    NoiseChannel.phase(0.0),
+    NoiseChannel.phase(0.3),
+]
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.3, math.pi])
+@pytest.mark.parametrize("channel", FIXED_CHANNELS, ids=lambda c: c.spec())
+def test_fixed_outcomes_are_the_one_by_one_outcomes(channel, phi):
+    # values and final generator state of n sample_outcome calls at Phi = 0
+    n = 200
+    rng, twin = make_generator([9, 2]), make_generator([9, 2])
+    draws = Draws(rng, n)
+    u = draws.take(n * channel.probe_draws).reshape(n, channel.probe_draws)
+    draws.close()
+    clicks = _sample_fixed_outcomes(channel, phi, u)
+    assert clicks.dtype == np.int64
+    assert clicks.tolist() == [sample_outcome(channel, phi, 0.0, twin) for _ in range(n)]
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize(

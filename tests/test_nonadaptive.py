@@ -9,9 +9,12 @@ from mzphase import (
     PosteriorGrid,
     inversion_estimate,
     make_generator,
+    run_batch,
     run_estimation,
     sample_outcome,
 )
+
+from _oracles import exact_bayes_fixed_resultant, exact_inversion_resultant
 
 
 def test_inversion_estimate_endpoints_and_midpoint():
@@ -114,3 +117,24 @@ def test_inversion_estimate_needs_no_clamp():
     ]
     assert mismatches == []
     assert inversion_estimate(0, 7) == math.pi
+
+
+@pytest.mark.parametrize("phi", [0.7, 2.1])
+@pytest.mark.parametrize(
+    "channel", [IDEAL, NoiseChannel.depolarizing(0.25), NoiseChannel.phase(1.0)],
+    ids=lambda c: c.kind,
+)
+@pytest.mark.parametrize(
+    "strategy, exact",
+    [("inversion", exact_inversion_resultant), ("bayes-fixed", exact_bayes_fixed_resultant)],
+)
+def test_fixed_feedback_batches_match_the_exact_resultant(strategy, exact, channel, phi):
+    n, m = 10, 4000
+    _, records = run_batch(phi, n, strategy, m, sample_channel=channel, grid_size=1024,
+                           base_seed=1)
+    z = np.exp(1j * np.array([r.final_estimate for r in records]))
+    # each of the real and imaginary parts within 4 standard errors
+    want = exact(n, phi, channel)
+    for part, value in ((z.real, want.real), (z.imag, want.imag)):
+        se = part.std(ddof=1) / math.sqrt(m)
+        assert abs(part.mean() - value) < 4.0 * se, (part.mean(), value, se)
