@@ -13,13 +13,14 @@ posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
-A run draws its uniforms in blocks of one value per probe, hands them
-out one by one, draws another block when one runs out, and at its end
-rewinds its generator to the draws taken (see rng.Draws): its values
-and final generator state are those of one-by-one draws.
+An adaptive run (go, pgh, a policy) draws its uniforms in blocks of one
+value per probe, hands them out one by one, draws another block when
+one runs out, and at its end rewinds its generator to the draws taken
+(see rng.Draws): its values and final generator state are those of
+one-by-one draws.
 A run that holds its feedback at 0 (inversion, bayes-fixed) has
-outcomes that depend on its uniforms alone. It takes all of them as
-one array before the first step and samples every outcome from it
+outcomes that depend on its uniforms alone. It samples every outcome
+before the first step, drawing its uniforms straight from its generator
 (interferometer._sample_fixed_outcomes), with the values and the final
 generator state of one-by-one draws. Inversion then has no step loop:
 its estimates are read from a table of inversion_estimate by step and
@@ -249,8 +250,8 @@ def _run_rows(
     one update advances the posteriors of all rows and sets every row's
     summary (see posterior), and the step's estimates and sigmas are
     written as one column each. A run that holds Phi = 0 (inversion,
-    bayes-fixed) samples all its outcomes before the first step, from
-    one array of the uniforms that its probes would draw one by one.
+    bayes-fixed) samples all its outcomes from its generator before the
+    first step.
     """
     if n < 1:
         raise ValueError(f"probe count must be >= 1, got {n}")
@@ -266,8 +267,8 @@ def _run_rows(
     # inversion and bayes-fixed hold Phi = 0; bayes-fixed on a [0, pi] prior
     online = label in HEURISTIC_KINDS
     fixed = label in ("inversion", "bayes-fixed")
-    rngs = [Draws(make_generator(entropy), n) for entropy in seeds]
-    rows = len(rngs)
+    generators = [make_generator(entropy) for entropy in seeds]
+    rows = len(generators)
 
     feedbacks = np.zeros((rows, n))
     outcomes = np.empty((rows, n), dtype=np.int64)
@@ -275,10 +276,9 @@ def _run_rows(
     sigmas = np.full((rows, n), math.nan)
 
     if fixed:  # a run's outcomes depend on its uniforms alone: draw them first
-        d = sample_channel.probe_draws
-        for r, rng in enumerate(rngs):
-            u = rng.take(n * d).reshape(n, d)
-            outcomes[r] = _sample_fixed_outcomes(sample_channel, phi_true, u)
+        for r, rng in enumerate(generators):
+            outcomes[r] = _sample_fixed_outcomes(sample_channel, phi_true, n, rng)
+    rngs = [] if fixed else [Draws(rng, n) for rng in generators]
     if label == "inversion":
         estimates[:] = _inversion_estimates(outcomes)
 

@@ -22,25 +22,23 @@ is v^2, and the induced Cramer-Rao bound for n probes is 1/(v sqrt n).
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .rng import box_muller, normal
+from .rng import Draws, box_muller, normal
 
 
 # kind -> (its parameter, visibility v, fair-coin weight q) of the fringe
-# v p(x) + q/2, the uniforms sample_outcomes draws per sample and probe,
-# and those sample_outcome draws per probe.
+# v p(x) + q/2, and the uniforms sample_outcomes draws per sample and probe.
 # q is p itself for depolarizing noise, since 1 - (1 - p) is not always p;
 # kappa ** 2 would overflow past 1e154, where v is long 0. sample_outcomes
 # draws its uniforms in this order: the phase kick's u1 and u2, the click,
 # the depolarizing noise and fair coins.
 _KINDS = {
-    "ideal": (None, lambda c: 1.0, lambda c: 0.0, 1, 1),
-    "depolarizing": ("p", lambda c: 1.0 - c.p, lambda c: c.p, 3, 2),
+    "ideal": (None, lambda c: 1.0, lambda c: 0.0, 1),
+    "depolarizing": ("p", lambda c: 1.0 - c.p, lambda c: c.p, 3),
     "phase": ("kappa", lambda c: math.exp(-c.kappa ** 2 / 2.0) if c.kappa < 1e150 else 0.0,
-              lambda c: 1.0 - c.visibility, 3, 3),
+              lambda c: 1.0 - c.visibility, 3),
 }
 
 
@@ -81,11 +79,6 @@ class NoiseChannel:
         return _KINDS[self.kind][3]
 
     @property
-    def probe_draws(self):
-        """Uniforms sample_outcome draws per probe."""
-        return _KINDS[self.kind][4]
-
-    @property
     def fair_weight(self):
         """Weight q of the fair coin mixed into the fringe, 1 - v up to rounding."""
         return _KINDS[self.kind][2](self)
@@ -105,13 +98,13 @@ class NoiseChannel:
 
     @classmethod
     def parse(cls, text):
-        kind, _, par = text.partition(":")
+        kind, sep, par = text.partition(":")
         kind = kind.strip()
         if kind not in _KINDS:
             raise ValueError(f"unknown noise channel kind: {kind!r}")
         param = _KINDS[kind][0]
         if param is None:
-            if par:
+            if sep:
                 raise ValueError(f"{kind} channel takes no parameter")
             return cls(kind)
         return cls(kind, **{param: float(par)})
@@ -174,25 +167,27 @@ def sample_outcome(channel, phi, feedback, rng):
     return 0 if rng.random() < p0 else 1
 
 
-def _sample_fixed_outcomes(channel, phi, u):
-    """The clicks of n probes at feedback phase 0, as sample_outcome
-    draws them one by one from the uniforms u, of shape
-    (n, channel.probe_draws) in draw order; an int array of n.
+def _sample_fixed_outcomes(channel, phi, n, rng):
+    """The clicks of n probes at feedback phase 0, drawn from rng with the
+    values and final generator state of n sample_outcome calls; an int
+    array of n.
 
-    The noise coin and click of depolarizing noise are compared as
-    arrays. Phase noise kicks every probe by its own Gaussian, which
-    sample_outcome's scalar math computes, since numpy's log and cos
-    may round otherwise.
+    The ideal and depolarizing clicks are compared as arrays, on uniforms
+    drawn in one call in sample_outcome's order. Phase noise kicks every
+    probe by its own Gaussian, which sample_outcome's scalar math
+    computes, since numpy's log and cos may round otherwise.
     """
-    if channel.kind == "phase":
-        rng = SimpleNamespace(random=iter(u.ravel().tolist()).__next__)
-        clicks = [sample_outcome(channel, phi, 0.0, rng) for _ in range(len(u))]
+    if channel.kind == "phase":  # a kick's two uniforms, then the click
+        draws = Draws(rng, 3 * n)
+        clicks = [sample_outcome(channel, phi, 0.0, draws) for _ in range(n)]
+        draws.close()
         return np.array(clicks, dtype=np.int64)
     p0 = math.cos(phi / 2.0) ** 2
     if channel.kind == "depolarizing":  # a noisy probe's click is a fair coin
+        u = rng.random((n, 2))  # C order: each probe's noise coin, then its click
         clicks = np.where(u[:, 0] < channel.p, u[:, 1] >= 0.5, u[:, 1] >= p0)
     else:
-        clicks = u[:, 0] >= p0
+        clicks = rng.random(n) >= p0
     return clicks.astype(np.int64)
 
 

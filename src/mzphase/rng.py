@@ -13,14 +13,13 @@ Gaussian variates are produced by an explicit Box-Muller transform on
 uniform draws (not the generator's native normal method), so a trace of
 uniform draws fully determines every trajectory.
 
-A run takes its uniforms through Draws, as blocks handed out one by
-one or as one array, and rewinds its generator to the draws taken: a
+An adaptive run takes its uniforms one by one through Draws, which
+draws them in blocks and rewinds its generator to the draws taken: a
 block of doubles equals as many one-by-one doubles and each advances
 PCG64 one step, so the stream layout and the final state are those of
 one-by-one draws.
 """
 
-import itertools
 import math
 import operator
 
@@ -59,16 +58,9 @@ class Draws:
             value = next(self._values)
         return value
 
-    def take(self, count):
-        """The values of count random() calls, as one array: what is left
-        of the block, then one draw of the rest from the generator."""
-        head = list(itertools.islice(self._values, count))
-        rest = self._rng.random(count - len(head))
-        return np.concatenate((head, rest)) if head else rest
-
     def close(self):
         """Leave the generator in the state that one-by-one draws of the
-        values taken so far would; later takes draw a new block."""
+        values taken so far would; a later random() draws a new block."""
         surplus = operator.length_hint(self._values)
         if surplus:  # stepping 2^128 - s times is stepping back s times
             self._rng.bit_generator.advance((1 << 128) - surplus)

@@ -264,3 +264,33 @@ def exact_bayes_fixed_resultant(n, phi, sample_channel):
         return math.atan2(sin, (2 * n0 + 1) / (n + 1) - 1.0)
 
     return _binomial_resultant(n, phi, sample_channel, estimate)
+
+
+def exact_policy_resultant(deltas, phi, channel):
+    """Exact E e^{i Phi_n} of the estimate Phi_n of the n = len(deltas)
+    step policy at the true phase phi, under a channel of visibility v.
+
+    Phi_k = Phi_{k-1} - (-1)^{x_{k-1}} d_k turns by -d or +d with
+    probability (1 +- v cos(phi - Phi_{k-1})) / 2, so M_k(m) = E e^{i m Phi_k}
+    obeys M_1(m) = e^{-i m d_1} (Phi_0 = 0, x_0 = 0) and
+    M_{k+1}(m) = cos(m d) M_k(m) - (i v / 2) sin(m d) [e^{i phi} M_k(m - 1)
+    + e^{-i phi} M_k(m + 1)], with d = d_{k+1}. M_n(1) needs M_1 on
+    m = 2 - n .. n; each step narrows the range by one at each end.
+    """
+    n = len(deltas)
+    v = channel.visibility
+    m = np.arange(2 - n, n + 1)
+    moments = np.exp(-1j * m * deltas[0])
+    for d in deltas[1:]:
+        m = m[1:-1]
+        neighbours = cmath.exp(1j * phi) * moments[:-2] + cmath.exp(-1j * phi) * moments[2:]
+        moments = np.cos(m * d) * moments[1:-1] - 0.5j * v * np.sin(m * d) * neighbours
+    [value] = moments
+    return complex(value)
+
+
+def optimal_ideal_sharpness(n):
+    """S_n = 2^{-n} sum_k sqrt(C(n, k) C(n, k + 1)): the largest phase-averaged
+    |E e^{i(est - phi)}| that any estimate from n single-photon probes
+    reaches on the ideal channel, the canonical measurement's sharpness."""
+    return sum(math.sqrt(math.comb(n, k) * math.comb(n, k + 1)) for k in range(n)) / 2 ** n

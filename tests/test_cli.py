@@ -274,6 +274,16 @@ def test_benchmark_empty_comma_list_is_config_error(key, value, tmp_path, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spec", ["ideal:", "depolarizing:", "phase:"])
+def test_a_channel_spec_without_its_value_is_config_error(spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    args = ["benchmark", "--strategies", "inversion", "--n", "3", "--m", "2", "--phases", "1",
+            "--grid-size", "64", "--seed", "1", "--out", "out"]
+    assert cli.main([*args, "--channels", spec]) == 2
+    assert "channels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["strategies", "channels", "inputs"])
 @pytest.mark.parametrize("value", [5, {}, []])
 def test_list_option_in_config_must_be_a_non_empty_list(key, value, tmp_path, monkeypatch):

@@ -281,7 +281,8 @@ def test_draw_block_size_moves_no_bit(name, spec, monkeypatch):
 
         monkeypatch.setattr(harness, "Draws", draws)
         records, block_states = batch()
-        assert sizes == [12] * 9
+        # fixed-feedback runs draw straight from their generators
+        assert sizes == ([] if name in ("inversion", "bayes-fixed") else [12] * 9)
         for record, want in zip(records, expected):
             _same_bits(record, want)
         assert block_states == states

@@ -18,7 +18,6 @@ from mzphase import (
 )
 
 from mzphase.interferometer import _sample_fixed_outcomes
-from mzphase.rng import Draws
 
 from _oracles import numeric_fisher_information
 
@@ -84,7 +83,7 @@ def test_channel_validation():
         NoiseChannel.phase(-0.1)
     with pytest.raises(ValueError):
         NoiseChannel("bogus")
-    for spec in ("phase:nan", "phase:inf", "depolarizing:nan", "depolarizing:-inf"):
+    for spec in ("phase:nan", "phase:inf", "depolarizing:nan", "depolarizing:-inf", "ideal:"):
         with pytest.raises(ValueError):
             NoiseChannel.parse(spec)
     with pytest.raises(ValueError):
@@ -130,10 +129,7 @@ def test_fixed_outcomes_are_the_one_by_one_outcomes(channel, phi):
     # values and final generator state of n sample_outcome calls at Phi = 0
     n = 200
     rng, twin = make_generator([9, 2]), make_generator([9, 2])
-    draws = Draws(rng, n)
-    u = draws.take(n * channel.probe_draws).reshape(n, channel.probe_draws)
-    draws.close()
-    clicks = _sample_fixed_outcomes(channel, phi, u)
+    clicks = _sample_fixed_outcomes(channel, phi, n, rng)
     assert clicks.dtype == np.int64
     assert clicks.tolist() == [sample_outcome(channel, phi, 0.0, twin) for _ in range(n)]
     assert rng.bit_generator.state == twin.bit_generator.state

@@ -14,7 +14,12 @@ from mzphase import (
     sample_outcome,
 )
 
-from _oracles import exact_bayes_fixed_resultant, exact_inversion_resultant
+from _oracles import (
+    exact_bayes_fixed_resultant,
+    exact_inversion_resultant,
+    exact_policy_resultant,
+    optimal_ideal_sharpness,
+)
 
 
 def test_inversion_estimate_endpoints_and_midpoint():
@@ -138,3 +143,36 @@ def test_fixed_feedback_batches_match_the_exact_resultant(strategy, exact, chann
     for part, value in ((z.real, want.real), (z.imag, want.imag)):
         se = part.std(ddof=1) / math.sqrt(m)
         assert abs(part.mean() - value) < 4.0 * se, (part.mean(), value, se)
+
+
+_FLOOR_DELTAS = 0.3 + 0.6 * np.cos(np.arange(12))
+
+
+def _phase_averaged(resultant, n, count):
+    """|mean of E e^{i(est - phi)}| over an even grid of count phases."""
+    phis = np.arange(count) * (2.0 * math.pi / count)
+    return abs(np.mean([resultant(n, phi) * np.exp(-1j * phi) for phi in phis]))
+
+
+@pytest.mark.parametrize(
+    "resultant",
+    [
+        lambda n, phi: exact_inversion_resultant(n, phi, IDEAL),
+        lambda n, phi: exact_bayes_fixed_resultant(n, phi, IDEAL),
+        lambda n, phi: exact_policy_resultant(_FLOOR_DELTAS[:n], phi, IDEAL),
+    ],
+    ids=["inversion", "bayes-fixed", "policy"],
+)
+def test_phase_averaged_resultant_is_at_most_the_ideal_floor(resultant):
+    # E e^{i(est - phi)} is a trigonometric polynomial of degree <= n + 1 in
+    # phi, so an even grid of 4 n + 8 phases averages it exactly
+    for n in range(1, 13):
+        sharpness = _phase_averaged(resultant, n, 4 * n + 8)
+        assert sharpness == pytest.approx(_phase_averaged(resultant, n, 8 * n + 16), abs=1e-12), n
+        assert sharpness <= optimal_ideal_sharpness(n) + 1e-12, n
+
+
+def test_one_inversion_probe_reaches_the_ideal_floor():
+    # E e^{i est} = cos phi, whose phase average against e^{-i phi} is S_1 = 1/2
+    sharpness = _phase_averaged(lambda n, phi: exact_inversion_resultant(n, phi, IDEAL), 1, 12)
+    assert sharpness == pytest.approx(optimal_ideal_sharpness(1), abs=1e-12)

@@ -17,11 +17,12 @@ from mzphase import (
     estimate_sharpness,
     make_generator,
     pso_step,
+    run_batch,
     train_policy,
 )
 from mzphase.pso import _sharpness
 
-from _oracles import policy_sharpness_by_angles, pso_step_per_particle
+from _oracles import exact_policy_resultant, policy_sharpness_by_angles, pso_step_per_particle
 
 TWO_PI = 2 * math.pi
 
@@ -426,3 +427,21 @@ def test_same_seed_gives_same_sharpness_bits(seed, spec, deltas, k_samples):
         estimate_sharpness(policy, channel, k_samples, make_generator(seed)) for _ in range(2)
     )
     assert first.hex() == second.hex()
+
+
+@pytest.mark.parametrize("phi", [0.7, 2.6])
+@pytest.mark.parametrize(
+    "channel", [IDEAL, NoiseChannel.depolarizing(0.25), NoiseChannel.phase(1.0)],
+    ids=lambda c: c.kind,
+)
+def test_policy_batches_match_the_exact_resultant(channel, phi):
+    n, m = 10, 4000
+    deltas = 0.3 + 0.6 * np.cos(np.arange(n))
+    _, records = run_batch(phi, n, Policy(deltas), m, sample_channel=channel, grid_size=64,
+                           base_seed=1)
+    z = np.exp(1j * np.array([r.final_estimate for r in records]))
+    # each of the real and imaginary parts within 4 standard errors
+    want = exact_policy_resultant(deltas, phi, channel)
+    for part, value in ((z.real, want.real), (z.imag, want.imag)):
+        se = part.std(ddof=1) / math.sqrt(m)
+        assert abs(part.mean() - value) < 4.0 * se, (part.mean(), value, se)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,31 +57,6 @@ def test_draws_refill_past_count_and_close_again():
     assert _state(rng) == _state(twin)
 
 
-def test_take_hands_out_the_one_by_one_doubles():
-    # fresh, mid-block, across several refills, then close after a take
-    rng, twin = make_generator(13), make_generator(13)
-    draws = Draws(rng, 4)
-    for count in (3, 0, 2, 11, 1):
-        assert draws.take(count).tolist() == [twin.random() for _ in range(count)]
-        assert draws.random() == twin.random()
-    draws.close()
-    assert _state(rng) == _state(twin)
-
-
-def test_a_fresh_take_is_one_generator_draw():
-    rng, twin = make_generator(14), make_generator(14)
-    sizes = []
-
-    class Counted:
-        def random(self, size):
-            sizes.append(size)
-            return rng.random(size)
-
-    values = Draws(Counted(), 5).take(12)
-    assert sizes == [12]
-    assert values.dtype == np.float64 and values.tolist() == twin.random(12).tolist()
-
-
 def test_draws_need_a_positive_count():
     with pytest.raises(ValueError):
         Draws(make_generator(0), 0)
@@ -105,22 +79,5 @@ def test_draws_match_a_one_by_one_twin(count, takes, seed):
         else:
             value = draws.random()
             assert value == twin.random() and 0.0 <= value < 1.0 and not math.isnan(value)
-    draws.close()
-    assert _state(rng) == _state(twin)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    count=st.integers(1, 40),
-    takes=st.lists(st.integers(0, 90), max_size=12),
-    seed=st.integers(0, 2 ** 32 - 1),
-)
-def test_takes_match_a_one_by_one_twin(count, takes, seed):
-    # each take of t values is followed by one random(); then close()
-    rng, twin = make_generator(seed), make_generator(seed)
-    draws = Draws(rng, count)
-    for t in takes:
-        assert draws.take(t).tolist() == [twin.random() for _ in range(t)]
-        assert draws.random() == twin.random()
     draws.close()
     assert _state(rng) == _state(twin)
