@@ -14,10 +14,8 @@ advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
 An adaptive run (go, pgh, a policy) draws its uniforms in blocks of one
-value per probe, hands them out one by one, draws another block when
-one runs out, and at its end rewinds its generator to the draws taken
-(see rng.Draws): its values and final generator state are those of
-one-by-one draws.
+value per probe, hands them out one by one and draws another block when
+one runs out (see rng.Draws): its values are those of one-by-one draws.
 A run that holds its feedback at 0 (inversion, bayes-fixed) has
 outcomes that depend on its uniforms alone. It samples every outcome
 before the first step, drawing its uniforms straight from its generator
@@ -314,8 +312,6 @@ def _run_rows(
             sigmas[:, k - 1] = sig
         else:  # a policy
             estimates[:, k - 1] = fb
-    for rng in rngs:
-        rng.close()
 
     return [
         RunRecord(

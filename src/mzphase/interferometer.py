@@ -180,7 +180,6 @@ def _sample_fixed_outcomes(channel, phi, n, rng):
     if channel.kind == "phase":  # a kick's two uniforms, then the click
         draws = Draws(rng, 3 * n)
         clicks = [sample_outcome(channel, phi, 0.0, draws) for _ in range(n)]
-        draws.close()
         return np.array(clicks, dtype=np.int64)
     p0 = math.cos(phi / 2.0) ** 2
     if channel.kind == "depolarizing":  # a noisy probe's click is a fair coin

@@ -14,14 +14,11 @@ uniform draws (not the generator's native normal method), so a trace of
 uniform draws fully determines every trajectory.
 
 An adaptive run takes its uniforms one by one through Draws, which
-draws them in blocks and rewinds its generator to the draws taken: a
-block of doubles equals as many one-by-one doubles and each advances
-PCG64 one step, so the stream layout and the final state are those of
-one-by-one draws.
+draws them in blocks: a block of doubles equals as many one-by-one
+doubles, so the values a run reads are those of one-by-one draws.
 """
 
 import math
-import operator
 
 import numpy as np
 
@@ -38,9 +35,9 @@ class Draws:
     handed out one by one. It stands in for the generator wherever only
     random() is called, with the same values.
 
-    The first block is drawn at the first random(). A caller that takes
-    more than count values gets another block; one that takes fewer
-    calls close(), which rewinds the generator to the values taken.
+    The generator belongs to the Draws from then on. The first block is
+    drawn at the first random(), and a caller that takes more than count
+    values gets another block; the rest of the last block is never read.
     """
 
     __slots__ = ("_rng", "_count", "_values")
@@ -57,14 +54,6 @@ class Draws:
             self._values = iter(self._rng.random(self._count).tolist())
             value = next(self._values)
         return value
-
-    def close(self):
-        """Leave the generator in the state that one-by-one draws of the
-        values taken so far would; a later random() draws a new block."""
-        surplus = operator.length_hint(self._values)
-        if surplus:  # stepping 2^128 - s times is stepping back s times
-            self._rng.bit_generator.advance((1 << 128) - surplus)
-        self._values = iter(())
 
 
 def normal(rng):

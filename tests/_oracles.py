@@ -1,9 +1,11 @@
 """Independent numerical oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: quadrature on
-dense grids, finite differences, and direct formula evaluation. The one
-exception is exact_go_sharpness, which enumerates the outcomes of go's
-feedback rule and so takes the rule's offset from the library.
+dense grids, finite differences, and direct formula evaluation. Two
+exceptions: exact_go_sharpness enumerates the outcomes of go's feedback
+rule and so takes the rule's offset from the library, and
+replay_summaries replays a run on a small PosteriorGrid, which is exact
+there.
 """
 
 import cmath
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from mzphase import IDEAL, feedback_offset
+from mzphase import IDEAL, PosteriorGrid, UndefinedMeanError, feedback_offset
 
 
 @lru_cache(maxsize=None)
@@ -294,3 +296,24 @@ def optimal_ideal_sharpness(n):
     |E e^{i(est - phi)}| that any estimate from n single-photon probes
     reaches on the ideal channel, the canonical measurement's sharpness."""
     return sum(math.sqrt(math.comb(n, k) * math.comb(n, k + 1)) for k in range(n)) / 2 ** n
+
+
+def replay_summaries(record, grid_size):
+    """Each step's (mu, sigma) of a run's posterior, replayed from its
+    recorded feedbacks and outcomes on a flat grid of grid_size points
+    under its model channel; (nan, nan) at a zero resultant.
+
+    After k probes the posterior is a trigonometric polynomial of degree
+    k, so a grid of k + 2 or more points sums it and its e^{i phi}
+    moment exactly, and every such grid gives the same summaries up to
+    rounding.
+    """
+    grid = PosteriorGrid.uniform(grid_size)
+    summaries = []
+    for feedback, outcome in zip(record.feedbacks.tolist(), record.outcomes.tolist()):
+        grid.update(outcome, feedback, record.model_channel)
+        try:
+            summaries.append(tuple(grid.gaussian_summary()))
+        except UndefinedMeanError:
+            summaries.append((math.nan, math.nan))
+    return summaries

@@ -56,7 +56,6 @@ def sharpness_with_se(errors):
     """Sharpness of an error sample and its standard error (projection
     of each unit vector onto the resultant direction)."""
     z = np.exp(1j * np.asarray(errors)).mean()
-    direction = z / abs(z)
     projections = np.cos(np.asarray(errors) - math.atan2(z.imag, z.real))
     return abs(z), projections.std(ddof=1) / math.sqrt(len(errors))
 

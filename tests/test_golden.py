@@ -33,6 +33,7 @@ from mzphase import (
     run_estimation,
     train_policy,
 )
+from mzphase.rng import Draws
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
 POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
@@ -83,6 +84,22 @@ def test_default_grid_run_matches_golden(case):
     assert _digest(record) == GOLDEN_DEFAULT_GRID[case]
 
 
+def _one_by_one_generators(monkeypatch):
+    """Keep every run generator the harness makes, and have adaptive runs
+    draw one value per block. A run leaves the rest of its last block
+    unread, so only blocks of one leave the generator in the state of
+    one-by-one draws."""
+    made = []
+
+    def make_generator(entropy, original=harness.make_generator):
+        made.append(original(entropy))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "make_generator", make_generator)
+    monkeypatch.setattr(harness, "Draws", lambda rng, count: Draws(rng, 1))
+    return made
+
+
 # the run generator's final PCG64 state after 30 probes at grid 1024
 # (phi_true 1.0, seed [7, 0, 2], the channel also the updater's model),
 # recorded while each strategy family still had its own run loop. Every
@@ -109,13 +126,7 @@ GOLDEN_STREAM = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_STREAM))
 def test_run_leaves_its_generator_in_the_golden_state(case, monkeypatch):
-    made = []
-
-    def make_generator(entropy, original=harness.make_generator):
-        made.append(original(entropy))
-        return made[-1]
-
-    monkeypatch.setattr(harness, "make_generator", make_generator)
+    made = _one_by_one_generators(monkeypatch)
     strategy, spec = case.split("|")
     channel = NoiseChannel.parse(spec)
     run_estimation(1.0, 30, POLICY if strategy == "policy" else strategy,
@@ -147,13 +158,7 @@ DATA_DEPENDENT_HEURISTICS = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_STREAM_DATA_DEPENDENT))
 def test_data_dependent_draws_leave_the_golden_state(case, monkeypatch):
-    made = []
-
-    def make_generator(entropy, original=harness.make_generator):
-        made.append(original(entropy))
-        return made[-1]
-
-    monkeypatch.setattr(harness, "make_generator", make_generator)
+    made = _one_by_one_generators(monkeypatch)
     if case == "pgh-zero-resultant":
         run_batch(1.0, 2, "pgh", 37, grid_size=1024, base_seed=40)
         rng = made[15]

@@ -26,6 +26,7 @@ from _oracles import (
     exact_go_sharpness,
     expected_posterior_variance,
     expected_posterior_variance_closed_form,
+    optimal_ideal_sharpness,
     wrapped_normal_weights,
 )
 
@@ -239,9 +240,7 @@ def test_exact_go_sharpness_is_at_most_the_optimal_ideal_sharpness():
     # S_n is the largest sharpness any n single-photon probes reach on the
     # ideal channel; one probe with Phi_1 = 0 reaches it
     for n in range(1, 13):
-        bound = sum(
-            math.sqrt(math.comb(n, k) * math.comb(n, k + 1)) for k in range(n)
-        ) / 2 ** n
+        bound = optimal_ideal_sharpness(n)
         exact = exact_go_sharpness(n, IDEAL)
         assert exact <= bound + 1e-12, n
         if n == 1:

@@ -368,9 +368,7 @@ def test_repeated_updates_keep_the_bits_of_the_full_grid_product(support):
         assert not np.signbit(grid.weights).any()
 
 
-def test_update_clears_each_rows_kept_summary():
-    # the block takes every row's summary after every update; each lone
-    # twin takes its first summary only after the last
+def test_block_summaries_equal_lone_grids_after_every_update():
     rng = make_generator(23)
     block = PosteriorGrid.uniform(256, rows=4)
     lone = [PosteriorGrid.uniform(256) for _ in range(4)]
@@ -381,7 +379,7 @@ def test_update_clears_each_rows_kept_summary():
             grid.update(int(x), float(fb))
         summaries = [row.gaussian_summary() for row in block.rows]
         assert [row.gaussian_summary() for row in block.rows] == summaries
-    assert summaries == [grid.gaussian_summary() for grid in lone]
+        assert summaries == [grid.gaussian_summary() for grid in lone]
     # a zero resultant keeps no summary: every call raises
     flat = PosteriorGrid.uniform(256)
     for _ in range(2):
