@@ -371,7 +371,7 @@ def cmd_plot_data(opts):
                 rows.extend(_plot_rows_from_run(payload, figure_id))
             else:
                 rows.extend(_plot_rows_from_batch(path, figure_id))
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             print(f"plot-data: malformed input {path}: {exc}", file=sys.stderr)
             return 3
 

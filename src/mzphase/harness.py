@@ -13,9 +13,9 @@ posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
-An adaptive run (go, pgh, a policy) draws its uniforms in blocks of one
-value per probe, hands them out one by one and draws another block when
-one runs out (see rng.Draws): its values are those of one-by-one draws.
+An adaptive run (go, pgh, a policy) draws four uniforms per probe at
+once, at least as many as it takes, and reads them one by one (see
+rng.Draws): its values are those of one-by-one draws.
 A run that holds its feedback at 0 (inversion, bayes-fixed) has
 outcomes that depend on its uniforms alone. It samples every outcome
 before the first step, drawing its uniforms straight from its generator
@@ -40,6 +40,7 @@ import csv
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -276,7 +277,11 @@ def _run_rows(
     if fixed:  # a run's outcomes depend on its uniforms alone: draw them first
         for r, rng in enumerate(generators):
             outcomes[r] = _sample_fixed_outcomes(sample_channel, phi_true, n, rng)
-    rngs = [] if fixed else [Draws(rng, n) for rng in generators]
+    # a probe takes at most 4 uniforms: at most 1 for its feedback (a flat
+    # posterior's uniform phase, pgh's draw, or go's random sign; none for
+    # a policy) and at most 3 for its click (the ideal channel 1,
+    # depolarizing noise 2, phase noise the kick's 2 and the click)
+    rngs = [] if fixed else [Draws(rng, 4 * n) for rng in generators]
     if label == "inversion":
         estimates[:] = _inversion_estimates(outcomes)
 
@@ -346,15 +351,17 @@ def run_batch(
     Run i is seeded by [base_seed, phase_index, i]. Contiguous blocks of
     runs advance in lockstep; each run draws only from its own
     generator, so the block size moves no bit. With workers > 1 the
-    blocks are evaluated in a process pool, whose map returns them in
-    run order, so the aggregate does not depend on scheduling.
+    blocks are evaluated in a process pool of at most as many processes
+    as CPUs and blocks, whose map returns them in run order, so the
+    aggregate does not depend on scheduling.
     """
     if m < 2:
         raise ValueError("need m >= 2 runs")
     if grid_size < 2:
         raise ValueError(f"grid size must be >= 2, got {grid_size}")
     size = max(1, _BLOCK_POINTS // grid_size)
-    if workers > 1:  # at least one block per worker
+    if workers > 1:  # no more workers than CPUs, and at least one block per worker
+        workers = min(workers, os.cpu_count() or 1)
         size = min(size, -(-m // workers))
     seeds = [[base_seed, phase_index, i] for i in range(m)]
     blocks = [seeds[i:i + size] for i in range(0, m, size)]
@@ -364,7 +371,7 @@ def run_batch(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing is slow to import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
             records = [r for block in pool.map(run, blocks) for r in block]
     else:
         records = [r for block in map(run, blocks) for r in block]

@@ -13,9 +13,10 @@ Gaussian variates are produced by an explicit Box-Muller transform on
 uniform draws (not the generator's native normal method), so a trace of
 uniform draws fully determines every trajectory.
 
-An adaptive run takes its uniforms one by one through Draws, which
-draws them in blocks: a block of doubles equals as many one-by-one
-doubles, so the values a run reads are those of one-by-one draws.
+An adaptive run draws its uniforms at once, as many as it can take,
+and reads them one by one through Draws: a block of doubles equals as
+many one-by-one doubles, so the values a run reads are those of
+one-by-one draws.
 """
 
 import math
@@ -31,29 +32,19 @@ def make_generator(entropy):
 
 
 class Draws:
-    """A generator's uniforms, drawn count at a time as one array and
-    handed out one by one. It stands in for the generator wherever only
-    random() is called, with the same values.
+    """A generator's next count uniforms, drawn as one array and handed
+    out one by one. It stands in for the generator wherever only random()
+    is called, with the same values.
 
-    The generator belongs to the Draws from then on. The first block is
-    drawn at the first random(), and a caller that takes more than count
-    values gets another block; the rest of the last block is never read.
+    The generator belongs to the Draws from then on. A random() past the
+    count raises StopIteration, so count must bound what the caller
+    takes; the values it leaves are dropped unread.
     """
 
-    __slots__ = ("_rng", "_count", "_values")
+    __slots__ = ("random",)
 
     def __init__(self, rng, count):
-        if count < 1:
-            raise ValueError(f"draw count must be >= 1, got {count}")
-        self._rng, self._count = rng, count
-        self._values = iter(())
-
-    def random(self):
-        value = next(self._values, None)
-        if value is None:  # the block is used up: draw another
-            self._values = iter(self._rng.random(self._count).tolist())
-            value = next(self._values)
-        return value
+        self.random = iter(rng.random(count).tolist()).__next__
 
 
 def normal(rng):

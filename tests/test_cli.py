@@ -353,13 +353,19 @@ def test_plot_data_empty_inputs_is_config_error(tmp_path):
     assert result.returncode == 2, result.stderr
 
 
-def test_plot_data_malformed_input_is_runtime_error(tmp_path):
-    (tmp_path / "broken.json").write_text("{not json")
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "5",  # valid JSON that is not an object
+    '{"steps": [[1, 2]], "strategy": "go"}',  # steps that are not objects
+], ids=["not-json", "not-an-object", "steps-not-objects"])
+def test_plot_data_malformed_input_is_runtime_error(tmp_path, text):
+    (tmp_path / "broken.json").write_text(text)
     result = run_cli(
         "plot-data", "--inputs", "broken.json", "--figure-id", "f",
         "--out", "plot", cwd=tmp_path,
     )
     assert result.returncode == 3, result.stderr
+    assert "plot-data: malformed input broken.json" in result.stderr
     # a failed command leaves no plotdata.csv and no meta.json
     out = tmp_path / "plot"
     assert not (out / "plotdata.csv").exists()

@@ -33,7 +33,6 @@ from mzphase import (
     run_estimation,
     train_policy,
 )
-from mzphase.rng import Draws
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_runs.json").read_text())
 POLICY = Policy(0.3 + 0.6 * np.cos(np.arange(30)))
@@ -86,9 +85,9 @@ def test_default_grid_run_matches_golden(case):
 
 def _one_by_one_generators(monkeypatch):
     """Keep every run generator the harness makes, and have adaptive runs
-    draw one value per block. A run leaves the rest of its last block
-    unread, so only blocks of one leave the generator in the state of
-    one-by-one draws."""
+    draw from it one by one. A run leaves the rest of its Draws unread, so
+    only one-by-one draws leave the generator in the state the values
+    were recorded at."""
     made = []
 
     def make_generator(entropy, original=harness.make_generator):
@@ -96,7 +95,7 @@ def _one_by_one_generators(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(harness, "make_generator", make_generator)
-    monkeypatch.setattr(harness, "Draws", lambda rng, count: Draws(rng, 1))
+    monkeypatch.setattr(harness, "Draws", lambda rng, count: rng)
     return made
 
 

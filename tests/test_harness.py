@@ -184,6 +184,38 @@ def test_run_batch_worker_pool_matches_serial():
         assert [r.to_dict() for r in serial_records] == [r.to_dict() for r in pooled_records]
 
 
+@pytest.mark.parametrize("cpus, m, want", [
+    (64, 2, [2]),  # 2 blocks
+    (3, 40, [3]),  # 3 CPUs
+    (1, 40, []),  # no pool
+    (None, 40, []),  # the CPU count is unknown
+])
+def test_a_pool_asks_for_no_more_workers_than_blocks_or_cpus(cpus, m, want, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:  # maps in this process, keeping the max_workers asked for
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    _, records = run_batch(1.0, 3, "go", m, grid_size=64, workers=1000)
+    assert asked == want
+    for record, serial in zip(records, run_batch(1.0, 3, "go", m, grid_size=64)[1], strict=True):
+        _same_bits(record, serial)
+
+
 def _record_generators(monkeypatch):
     """Keep every run generator the harness makes, in the order made."""
     made = []
@@ -261,7 +293,8 @@ def test_block_size_moves_no_bit(seed, m, rows, strategy):
 @pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.1", "phase:0.3"])
 @pytest.mark.parametrize("name", sorted(_ROW_STRATEGIES))
 def test_draw_block_size_moves_no_bit(name, spec, monkeypatch):
-    # blocks of 1 refill at every draw; blocks of 5 n leave most of a block unread
+    # the generator itself draws one by one; a Draws of 5 times the count
+    # leaves more unread
     channel = NoiseChannel.parse(spec)
 
     def batch():
@@ -269,19 +302,70 @@ def test_draw_block_size_moves_no_bit(name, spec, monkeypatch):
                          grid_size=64, base_seed=6, phase_index=2)[1]
 
     expected = batch()
-    for block in (lambda n: 1, lambda n: 5 * n):
+    for wrap in (lambda rng, count: rng, lambda rng, count: Draws(rng, 5 * count)):
         sizes = []
 
-        def draws(rng, n, block=block):
-            sizes.append(n)
-            return Draws(rng, block(n))
+        def draws(rng, count, wrap=wrap):
+            sizes.append(count)
+            return wrap(rng, count)
 
         monkeypatch.setattr(harness, "Draws", draws)
         records = batch()
         # fixed-feedback runs draw straight from their generators
-        assert sizes == ([] if name in ("inversion", "bayes-fixed") else [12] * 9)
+        assert sizes == ([] if name in ("inversion", "bayes-fixed") else [48] * 9)
         for record, want in zip(records, expected):
             _same_bits(record, want)
+
+
+class _CountingDraws:
+    """A run generator that counts the uniforms drawn since its last click."""
+
+    def __init__(self, rng):
+        self._random, self.since_click = rng.random, 0
+
+    def random(self):
+        self.since_click += 1
+        return self._random()
+
+
+_BOUND_STRATEGIES = {
+    "go": Heuristic(),
+    "go-pgh-fallback": Heuristic(go_fallback="pgh"),
+    "go-random-sign": Heuristic(sign_convention="random"),
+    "go-pgh-fallback-random-sign": Heuristic(go_fallback="pgh", sign_convention="random"),
+    "pgh": "pgh",
+    "policy": Policy(0.3 + 0.6 * np.cos(np.arange(30))),
+}
+
+
+@pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.1", "phase:0.3"])
+@pytest.mark.parametrize("name", sorted(_BOUND_STRATEGIES))
+def test_a_probe_draws_at_most_four_uniforms(name, spec, monkeypatch):
+    # _run_rows draws 4 n uniforms per adaptive run at once
+    n, channel = 30, NoiseChannel.parse(spec)
+    per_probe = []
+
+    def draws(rng, count):
+        assert count == 4 * n
+        return _CountingDraws(rng)
+
+    def sample_outcome(channel, phi, feedback, rng, original=harness.sample_outcome):
+        x = original(channel, phi, feedback, rng)
+        per_probe.append(rng.since_click)
+        rng.since_click = 0
+        return x
+
+    monkeypatch.setattr(harness, "Draws", draws)
+    monkeypatch.setattr(harness, "sample_outcome", sample_outcome)
+    # run 15 of this batch hits a zero resultant at step 2 on the ideal channel
+    _, records = run_batch(1.0, n, _BOUND_STRATEGIES[name], 37, sample_channel=channel,
+                           grid_size=1024, base_seed=40)
+    if (name, spec) == ("pgh", "ideal"):
+        assert math.isnan(records[15].sigmas[1])
+    assert len(per_probe) == 37 * n
+    assert max(per_probe) <= 4
+    if "random-sign" in name and spec.startswith("phase"):  # the bound is tight
+        assert set(per_probe) == {4}
 
 
 def test_inversion_table_holds_every_estimate():

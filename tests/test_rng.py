@@ -29,28 +29,25 @@ def test_draws_serve_the_scalar_draw_sites():
     assert normal(draws) == normal(twin)
 
 
-def test_draws_refill_past_count_with_the_one_by_one_doubles():
-    twin = make_generator(12)
+def test_a_draw_past_the_count_raises():
     draws = Draws(make_generator(12), 3)
-    assert [draws.random() for _ in range(9)] == [twin.random() for _ in range(9)]
-
-
-def test_draws_need_a_positive_count():
-    with pytest.raises(ValueError):
-        Draws(make_generator(0), 0)
+    for _ in range(3):
+        draws.random()
+    with pytest.raises(StopIteration):
+        draws.random()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    count=st.integers(1, 40),
+    extra=st.integers(0, 40),
     takes=st.lists(st.booleans(), max_size=90),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_draws_match_a_one_by_one_twin(count, takes, seed):
+def test_draws_match_a_one_by_one_twin(extra, takes, seed):
     # each take is a random() (False) or TWO_PI * random(), the twin's
     # uniform(0, 2 pi) (True)
     twin = make_generator(seed)
-    draws = Draws(make_generator(seed), count)
+    draws = Draws(make_generator(seed), len(takes) + extra)
     for uniform in takes:
         if uniform:
             assert (TWO_PI * draws.random()).hex() == twin.uniform(0.0, TWO_PI).hex()
