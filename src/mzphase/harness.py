@@ -13,9 +13,10 @@ posterior update advances the whole block (see posterior). A batch
 advances contiguous blocks of runs, as many as fit a fixed budget of
 grid points; run_estimation is a block of one.
 A run's bits depend neither on the block size nor on its neighbours.
-An adaptive run (go, pgh, a policy) draws four uniforms per probe at
-once, at least as many as it takes, and reads them one by one (see
-rng.Draws): its values are those of one-by-one draws.
+An adaptive run (go, pgh, a policy) draws at once a count of uniforms
+per probe set by its strategy and channel, at least as many as it
+takes, and reads them one by one (see rng.Draws): its values are those
+of one-by-one draws.
 A run that holds its feedback at 0 (inversion, bayes-fixed) has
 outcomes that depend on its uniforms alone. It samples every outcome
 before the first step, drawing its uniforms straight from its generator
@@ -277,11 +278,13 @@ def _run_rows(
     if fixed:  # a run's outcomes depend on its uniforms alone: draw them first
         for r, rng in enumerate(generators):
             outcomes[r] = _sample_fixed_outcomes(sample_channel, phi_true, n, rng)
-    # a probe takes at most 4 uniforms: at most 1 for its feedback (a flat
-    # posterior's uniform phase, pgh's draw, or go's random sign; none for
-    # a policy) and at most 3 for its click (the ideal channel 1,
-    # depolarizing noise 2, phase noise the kick's 2 and the click)
-    rngs = [] if fixed else [Draws(rng, 4 * n) for rng in generators]
+    # a probe takes at most 1 uniform for its feedback (a flat posterior's
+    # uniform phase, pgh's draw, or go's random sign; none for a policy)
+    # and for its click at most the channel's draws (1, 3, 3), which bound
+    # sample_outcome's (ideal 1, depolarizing 2, phase the kick's 2 and
+    # the click)
+    count = n * ((label != "policy") + sample_channel.draws)
+    rngs = [] if fixed else [Draws(rng, count) for rng in generators]
     if label == "inversion":
         estimates[:] = _inversion_estimates(outcomes)
 

@@ -20,24 +20,30 @@ row's bits do not depend on the block it sits in. The likelihood's
 outcome-1 pass runs row by row: at 2^17 a ufunc `where=` mask took
 about 4x the time of an unmasked pass.
 
-A grid owns one scratch array of its size. An update evaluates the
-likelihood over the index span of the support only (half the grid for a
-[0, pi] prior) and divides by the total over that span only, so weights
-outside it stay exactly +0.0 (0.0 / total is +0.0). The normalising sum
-still runs over every weight, because its pairwise order depends on the
-length. The PGH draw finds its point from block sums and one block's
-cumulative sum, built in the scratch, and builds the full sequential
-cumulative sum there only when rounding could move the point. A grid
-binds the views an update reads once, when it takes its weights (at
-construction and copy): the span of the weights and of the scratch as
-rows, and the span's phases. An update builds no view, and the weights
-array is changed in place, never replaced.
+A grid owns one complex scratch array of its shape, and its real
+scratch is the first half of those bytes. The resultant's pass casts
+the weights into the complex scratch for np.matmul, which would
+otherwise allocate that cast itself; by then an update has used up the
+likelihood in the real scratch, and a draw's cumulative sum lives only
+between updates, so the shared bytes are never needed twice at once.
+An update evaluates the likelihood over the index span of the support
+only (half the grid for a [0, pi] prior) and divides by the total over
+that span only, so weights outside it stay exactly +0.0 (0.0 / total
+is +0.0). The normalising sum still runs over every weight, because
+its pairwise order depends on the length. The PGH draw finds its point
+from block sums and one block's cumulative sum, built in the real
+scratch, and builds the full sequential cumulative sum there only when
+rounding could move the point. A grid binds the views an update reads
+once, when it takes its weights (at construction and copy): the span
+of the weights and of the real scratch as rows, and the span's phases.
+An update builds no view, and the weights array is changed in place,
+never replaced.
 
 An update reads a lone posterior as a block of one. Given one feedback
 phase per row, as go and pgh give, it evaluates the likelihood into the
-scratch and keeps nothing. Given one feedback phase shared by every row,
-as bayes-fixed's Phi = 0, it keeps each outcome's likelihood in an array
-of its own, evaluated the first time that outcome appears, while the
+real scratch and keeps nothing. Given one feedback phase shared by every
+row, as bayes-fixed's Phi = 0, it keeps each outcome's likelihood in an
+array of its own, evaluated the first time that outcome appears, while the
 (feedback, channel) key stands; a new feedback or channel drops both.
 The same ufuncs on the same inputs give the same array, so no bit
 changes, and a bayes-fixed run evaluates its likelihood once per outcome.
@@ -100,8 +106,13 @@ def _cdf_index(weights, u, cdf):
 
 @lru_cache(maxsize=8)
 def _grid_arrays(grid_size):
-    phis = np.arange(grid_size) * (TWO_PI / grid_size)
-    phasors = np.exp(1j * phis)
+    # built in place: the same bits as arange(G) * (2 pi / G) and
+    # exp(1j * phis), since the real part of 1j * phi is +0
+    phis = np.arange(grid_size, dtype=float)
+    phis *= TWO_PI / grid_size
+    phasors = np.zeros(grid_size, dtype=complex)
+    phasors.imag = phis
+    np.exp(phasors, out=phasors)
     phis.setflags(write=False)
     phasors.setflags(write=False)
     return phis, phasors
@@ -122,8 +133,8 @@ class PosteriorGrid:
     """
 
     __slots__ = (
-        "_weights", "_span", "_scratch", "_inside", "_out", "_phis", "_resultant", "_summary",
-        "_key", "_kept", "_views",
+        "_weights", "_span", "_cast", "_scratch", "_inside", "_out", "_phis", "_resultant",
+        "_summary", "_key", "_kept", "_views",
     )
 
     def __init__(self, weights):
@@ -137,18 +148,21 @@ class PosteriorGrid:
         if np.any(total <= 0.0):
             raise DegeneratePosteriorError("weights sum to zero")
         weights = weights / total
-        self._bind(weights, slice(0, weights.shape[-1]), np.empty_like(weights))
+        self._bind(weights, slice(0, weights.shape[-1]), np.empty(weights.shape, complex))
         self._summarise()
 
     def _bind(self, weights, span, scratch):
-        """Take over normalised weights, the support span and a scratch
-        array, and the views an update reads: the span's weights and
-        scratch as rows, and its phases. A block makes its row grids on
-        views of both arrays. Every caller then sets the summaries with
+        """Take over normalised weights, the support span and a complex
+        scratch array of their shape, and the views an update reads: the
+        span's weights and real scratch as rows, and its phases. The real
+        scratch is the first half of the complex one's bytes, a contiguous
+        array of the weights' shape. A block makes its row grids on views
+        of both arrays. Every caller then sets the summaries with
         _summarise, a block its rows' (a block has none of its own)."""
-        self._weights, self._span, self._scratch = weights, span, scratch
+        self._weights, self._span, self._cast = weights, span, scratch
+        self._scratch = scratch.reshape(-1).view(float)[:weights.size].reshape(weights.shape)
         self._inside = np.atleast_2d(weights)[:, span]
-        self._out = np.atleast_2d(scratch)[:, span]
+        self._out = np.atleast_2d(self._scratch)[:, span]
         self._phis = _grid_arrays(weights.shape[-1])[0][span]
         self._resultant = self._summary = None
         self._key = None  # (feedback, channel) of the last update
@@ -163,7 +177,8 @@ class PosteriorGrid:
         """Set every row's resultant and Gaussian summary from the
         weights; a zero resultant sets no summary."""
         _, phasors = _grid_arrays(self.grid_size)
-        zs = np.matmul(np.atleast_2d(self._weights)[:, None, :], phasors[:, None])
+        np.copyto(self._cast, self._weights)  # the cast np.matmul would allocate
+        zs = np.matmul(np.atleast_2d(self._cast)[:, None, :], phasors[:, None])
         for row, z in zip(self.rows, zs.ravel().tolist()):
             r = abs(z)
             row._resultant, row._summary = z, None
@@ -196,7 +211,7 @@ class PosteriorGrid:
         weights = np.zeros(shape)
         weights[..., span] = 1.0 / (span.stop - span.start)
         grid = cls.__new__(cls)
-        grid._bind(weights, span, np.empty_like(weights))
+        grid._bind(weights, span, np.empty(shape, complex))
         grid._summarise()
         return grid
 
@@ -223,7 +238,7 @@ class PosteriorGrid:
     def copy(self):
         """An independent grid with the same weights; it keeps no likelihood."""
         g = PosteriorGrid.__new__(PosteriorGrid)
-        g._bind(self._weights.copy(), self._span, np.empty_like(self._scratch))
+        g._bind(self._weights.copy(), self._span, np.empty_like(self._cast))
         g._summarise()
         return g
 

@@ -311,8 +311,11 @@ def test_draw_block_size_moves_no_bit(name, spec, monkeypatch):
 
         monkeypatch.setattr(harness, "Draws", draws)
         records = batch()
-        # fixed-feedback runs draw straight from their generators
-        assert sizes == ([] if name in ("inversion", "bayes-fixed") else [48] * 9)
+        # fixed-feedback runs draw straight from their generators; an
+        # adaptive run draws 1 per probe for its feedback (a policy none)
+        # and the channel's draws for its click
+        per_probe = (name != "policy") + channel.draws
+        assert sizes == ([] if name in ("inversion", "bayes-fixed") else [12 * per_probe] * 9)
         for record, want in zip(records, expected):
             _same_bits(record, want)
 
@@ -341,12 +344,14 @@ _BOUND_STRATEGIES = {
 @pytest.mark.parametrize("spec", ["ideal", "depolarizing:0.1", "phase:0.3"])
 @pytest.mark.parametrize("name", sorted(_BOUND_STRATEGIES))
 def test_a_probe_draws_at_most_four_uniforms(name, spec, monkeypatch):
-    # _run_rows draws 4 n uniforms per adaptive run at once
+    # _run_rows draws an adaptive run's uniforms at once: per probe 1 for
+    # its feedback (a policy none) and the channel's draws for its click
     n, channel = 30, NoiseChannel.parse(spec)
+    bound = (name != "policy") + channel.draws
     per_probe = []
 
     def draws(rng, count):
-        assert count == 4 * n
+        assert count == bound * n
         return _CountingDraws(rng)
 
     def sample_outcome(channel, phi, feedback, rng, original=harness.sample_outcome):
@@ -363,7 +368,7 @@ def test_a_probe_draws_at_most_four_uniforms(name, spec, monkeypatch):
     if (name, spec) == ("pgh", "ideal"):
         assert math.isnan(records[15].sigmas[1])
     assert len(per_probe) == 37 * n
-    assert max(per_probe) <= 4
+    assert max(per_probe) <= bound
     if "random-sign" in name and spec.startswith("phase"):  # the bound is tight
         assert set(per_probe) == {4}
 

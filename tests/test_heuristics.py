@@ -205,6 +205,19 @@ def test_next_feedback_pgh_delegation_and_fallback():
     expected = math.remainder(feedback_offset(sigma), TWO_PI)
     assert math.remainder(fb - mu, TWO_PI) == pytest.approx(expected, abs=1e-9)
 
+    # the threshold itself: Holevo sigma 0.91 keeps the go rule, 0.93 falls
+    # back to a pgh draw (a wrapped normal of width s has e^{s^2} - 1 as
+    # its Holevo variance)
+    phis = np.arange(4096) * (TWO_PI / 4096)
+    for target, falls_back in [(0.91, False), (0.93, True)]:
+        width = math.sqrt(math.log1p(target ** 2))
+        grid = PosteriorGrid(wrapped_normal_weights(phis, 2.0, width))
+        summary = grid.gaussian_summary()
+        assert summary.sigma == pytest.approx(target, abs=1e-6)
+        fb = next_feedback(Heuristic(go_fallback="pgh"), grid, 2, rng)
+        go = go_feedback(summary, 1.0)
+        assert (fb in grid.phis and fb != go) if falls_back else fb == go
+
 
 def test_next_feedback_random_sign_convention_uses_both_signs():
     grid_size = 2 ** 12

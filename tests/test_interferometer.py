@@ -157,11 +157,17 @@ def test_empirical_frequencies_match_marginal(channel, phi, fb):
     assert abs(np.mean(draws == 0) - p0) < tol
 
 
-def test_scalar_sampler_matches_marginal_too():
-    n = 2 * 10 ** 4
-    rng = make_generator(7)
-    channel = NoiseChannel.phase(0.8)
-    phi, fb = 2.0, 1.1
+@pytest.mark.parametrize(
+    "kappa, phi, fb, n, seed",
+    [
+        pytest.param(0.8, 2.0, 1.1, 2 * 10 ** 4, 7, id="kappa-0.8"),
+        # at phi = Phi, a kick 5% too wide moves p0 by about 18 standard errors
+        pytest.param(1.0, 0.7, 0.7, 2 * 10 ** 5, 8, id="kappa-1"),
+    ],
+)
+def test_scalar_sampler_matches_marginal_too(kappa, phi, fb, n, seed):
+    rng = make_generator(seed)
+    channel = NoiseChannel.phase(kappa)
     freq = sum(sample_outcome(channel, phi, fb, rng) == 0 for _ in range(n)) / n
     p0 = noisy_likelihood(channel, 0, phi, fb)
     assert abs(freq - p0) < 4.0 * math.sqrt(p0 * (1 - p0) / n)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -649,6 +650,40 @@ def test_batched_resultants_are_the_bits_of_a_dot_per_row(threads):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("size", [2, 3, 64, 1000, 1024, 2 ** 17])
+def test_grid_arrays_are_the_bits_of_their_formulas(size):
+    phis, phasors = posterior._grid_arrays(size)
+    want = np.arange(size) * (TWO_PI / size)
+    assert phis.tobytes() == want.tobytes()
+    assert phasors.tobytes() == np.exp(1j * want).tobytes()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_building_the_grid_arrays_takes_no_more_than_they_keep():
+    # 3 MiB kept at 2^17; building them from temporaries peaked at 5 MiB
+    peak = _traced_peak(lambda: posterior._grid_arrays.__wrapped__(2 ** 17))
+    assert peak < 3.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("strategy", ["go", "pgh", "bayes-fixed"])
+def test_a_default_grid_run_memory_peak(strategy):
+    # above the cached grid arrays: 1 MiB of weights and a 2 MiB complex
+    # scratch; casting the weights for the resultant took 1 MiB more. A
+    # small run first pays the one-off costs of a process's first run.
+    posterior._grid_arrays(2 ** 17)
+    run_estimation(1.0, 3, strategy, grid_size=64, seed=5)
+    peak = _traced_peak(lambda: run_estimation(1.0, 3, strategy, grid_size=2 ** 17, seed=5))
+    assert peak < 4.5 * 2 ** 20
 
 
 def test_dump_csv(tmp_path):
