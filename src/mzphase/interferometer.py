@@ -142,9 +142,15 @@ def noisy_likelihood(channel, x, phi, feedback, out=None):
         for row, click in zip(p0, x):
             if click:
                 np.subtract(1.0, row, out=row)
-        p = p0
-    else:
-        p = p0 if x == 0 else np.subtract(1.0, p0, out=out)
+        x = 0  # p0 now holds each row's p(x)
+    return _click_law(channel, x, p0, out)
+
+
+def _click_law(channel, x, p0, out):
+    """v p(x) + q / 2 from the noiseless p(0) in p0, with every pass
+    written into out (which may be p0 itself, or None for a new array);
+    p0 itself when x == 0 and there is no fair coin."""
+    p = p0 if x == 0 else np.subtract(1.0, p0, out=out)
     q = channel.fair_weight
     if q == 0.0:
         return p

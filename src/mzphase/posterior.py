@@ -20,12 +20,15 @@ row's bits do not depend on the block it sits in. The likelihood's
 outcome-1 pass runs row by row: at 2^17 a ufunc `where=` mask took
 about 4x the time of an unmasked pass.
 
-A grid owns one complex scratch array of its shape, and its real
-scratch is the first half of those bytes. The resultant's pass casts
-the weights into the complex scratch for np.matmul, which would
-otherwise allocate that cast itself; by then an update has used up the
-likelihood in the real scratch, and a draw's cumulative sum lives only
-between updates, so the shared bytes are never needed twice at once.
+A grid holds its weights and one complex scratch array of their shape,
+and its real scratch is the first half of those bytes; a grid given a
+shared feedback also keeps one likelihood over its support (see below).
+A flat prior is normalised in place, so building one takes no more
+than the grid keeps. The resultant's pass casts the weights into the
+complex scratch for np.matmul, which would otherwise allocate that
+cast itself; by then an update has used up the likelihood in the real
+scratch, and a draw's cumulative sum lives only between updates, so
+the shared bytes are never needed twice at once.
 An update evaluates the likelihood over the index span of the support
 only (half the grid for a [0, pi] prior) and divides by the total over
 that span only, so weights outside it stay exactly +0.0 (0.0 / total
@@ -42,11 +45,15 @@ never replaced.
 An update reads a lone posterior as a block of one. Given one feedback
 phase per row, as go and pgh give, it evaluates the likelihood into the
 real scratch and keeps nothing. Given one feedback phase shared by every
-row, as bayes-fixed's Phi = 0, it keeps each outcome's likelihood in an
-array of its own, evaluated the first time that outcome appears, while the
-(feedback, channel) key stands; a new feedback or channel drops both.
-The same ufuncs on the same inputs give the same array, so no bit
-changes, and a bayes-fixed run evaluates its likelihood once per outcome.
+row, as bayes-fixed's Phi = 0, it keeps the noiseless p(0) over the
+support in an array of its own while that feedback stands; it depends on
+no channel, and a new feedback replaces it. Each update builds the law
+of each outcome present once, from p(0), in the real-scratch row of the
+first row with that outcome (the ideal outcome 0 is p(0) itself), by the
+passes noisy_likelihood takes after its p(0). The same ufuncs on the
+same inputs give the same array, so no bit changes, and a bayes-fixed
+run evaluates its likelihood once. Each step then pays the passes
+after p(0) again: 1 - p0 for a click, and the fringe's two under noise.
 
 A grid's resultants and Gaussian summaries are set with its weights: at
 construction, copy and every update, one pass takes every row's, with
@@ -64,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circular import TWO_PI, wrap_phase
-from .interferometer import IDEAL, noisy_likelihood
+from .interferometer import IDEAL, _click_law, noisy_likelihood
 
 DEFAULT_GRID_SIZE = 2 ** 17
 
@@ -165,8 +172,7 @@ class PosteriorGrid:
         self._out = np.atleast_2d(self._scratch)[:, span]
         self._phis = _grid_arrays(weights.shape[-1])[0][span]
         self._resultant = self._summary = None
-        self._key = None  # (feedback, channel) of the last update
-        self._kept = {}  # outcome == 0 -> its likelihood under self._key, at most two
+        self._key = self._kept = None  # a shared feedback and its noiseless p(0)
         self._views = ()
         if weights.ndim == 2:
             self._views = tuple(PosteriorGrid.__new__(PosteriorGrid) for _ in weights)
@@ -196,20 +202,23 @@ class PosteriorGrid:
             raise ValueError(f"row count must be >= 1, got {rows}")
         shape = (grid_size,) if rows is None else (rows, grid_size)
         if support is None:
-            return cls(np.full(shape, 1.0 / grid_size))
-        lo, hi = support
-        if not 0.0 <= lo < hi:
-            raise ValueError(f"invalid support interval [{lo}, {hi}]")
-        phis, _ = _grid_arrays(grid_size)
-        span = slice(
-            int(np.searchsorted(phis, lo - 1e-12, side="left")),
-            int(np.searchsorted(phis, hi + 1e-12, side="right")),
-        )
-        if span.start >= span.stop:
-            raise ValueError(f"support [{lo}, {hi}] contains no grid point")
-        # 1/count is the bits of normalising ones: their pairwise sum is exact
-        weights = np.zeros(shape)
-        weights[..., span] = 1.0 / (span.stop - span.start)
+            # normalised in place: the bits of __init__'s weights / total
+            span, weights = slice(0, grid_size), np.full(shape, 1.0 / grid_size)
+            weights /= weights.sum(axis=-1, keepdims=True)
+        else:
+            lo, hi = support
+            if not 0.0 <= lo < hi:
+                raise ValueError(f"invalid support interval [{lo}, {hi}]")
+            phis, _ = _grid_arrays(grid_size)
+            span = slice(
+                int(np.searchsorted(phis, lo - 1e-12, side="left")),
+                int(np.searchsorted(phis, hi + 1e-12, side="right")),
+            )
+            if span.start >= span.stop:
+                raise ValueError(f"support [{lo}, {hi}] contains no grid point")
+            # 1/count is the bits of normalising ones: their pairwise sum is exact
+            weights = np.zeros(shape)
+            weights[..., span] = 1.0 / (span.stop - span.start)
         grid = cls.__new__(cls)
         grid._bind(weights, span, np.empty(shape, complex))
         grid._summarise()
@@ -250,7 +259,7 @@ class PosteriorGrid:
         a noisy one, so the protocol stays noise-unaware unless asked.
         A lone posterior is a block of one. outcome holds one click per
         row, and feedback one phase per row or one phase shared by every
-        row; only a shared feedback keeps its likelihoods.
+        row; only a shared feedback keeps its noiseless p(0).
         """
         inside, phis = self._inside, self._phis
         outcome = np.atleast_1d(outcome)
@@ -259,15 +268,15 @@ class PosteriorGrid:
                 channel, outcome, phis, feedback.reshape(-1, 1), out=self._out
             )
         else:
-            if (feedback, channel) != self._key:
-                self._key, self._kept = (feedback, channel), {}
-            for row, x in zip(inside, outcome):
-                like = self._kept.get(x == 0)
-                if like is None:
-                    like = self._kept[x == 0] = noisy_likelihood(
-                        channel, x, phis, feedback, out=np.empty(len(phis))
-                    )
-                row *= like
+            if feedback != self._key:
+                self._key, self._kept = feedback, noisy_likelihood(
+                    IDEAL, 0, phis, feedback, out=np.empty(len(phis))
+                )
+            laws = {}  # outcome -> its law, in the scratch row of its first row
+            for row, out, x in zip(inside, self._out, outcome):
+                if x not in laws:
+                    laws[x] = _click_law(channel, x, self._kept, out)
+                row *= laws[x]
         total = self._weights.sum(axis=-1, keepdims=True)
         # weights are never negative, so a total is 0 or more
         if np.count_nonzero(total) < total.size:

@@ -85,12 +85,13 @@ def _count_likelihood_calls(monkeypatch):
     return calls
 
 
-def test_bayes_fixed_evaluates_the_likelihood_once_per_outcome(monkeypatch):
+def test_bayes_fixed_evaluates_the_likelihood_once_per_run(monkeypatch):
     calls = _count_likelihood_calls(monkeypatch)
     record = run_estimation(1.0, 30, "bayes-fixed", grid_size=GRID, seed=6)
     assert set(record.outcomes[1:]) == {0, 1}
-    # Phi = 0 at every probe: each outcome's likelihood is evaluated once and kept
-    assert len(calls) == 2
+    # Phi = 0 at every probe: the noiseless p(0) is evaluated once and kept,
+    # and each outcome's law is built from it
+    assert len(calls) == 1
 
 
 def test_go_evaluates_the_likelihood_every_probe(monkeypatch):

@@ -411,7 +411,7 @@ def test_block_rows_update_like_lone_grids(channel, support):
         assert not np.shares_memory(twin.weights, block.weights)
 
 
-def test_a_shared_feedback_keeps_one_likelihood_per_outcome_until_it_changes(monkeypatch):
+def test_a_shared_feedback_keeps_its_noiseless_likelihood_until_it_changes(monkeypatch):
     calls = []
     likelihood = posterior.noisy_likelihood
     monkeypatch.setattr(
@@ -420,10 +420,46 @@ def test_a_shared_feedback_keeps_one_likelihood_per_outcome_until_it_changes(mon
     grid = PosteriorGrid.uniform(64)
     for x, fb in zip([0, 0, 1, 0, 0], [0.4, 0.4, 0.4, 1.1, 0.4]):
         grid.update(x, fb)
-    # feedback a: outcome 0 evaluated, then reused, then outcome 1 evaluated;
-    # b drops both and evaluates its own; back at a, b's is dropped
-    assert len(calls) == 4
-    assert len(grid._kept) == 1
+    # feedback a: p(0) evaluated once, then serves both outcomes; b drops it
+    # and evaluates its own; back at a, b's is dropped
+    assert len(calls) == 3
+    assert grid._key == 0.4 and grid._kept.shape == (64,)
+
+
+@pytest.mark.parametrize("channel", [IDEAL, NoiseChannel.depolarizing(0.1), NoiseChannel.phase(0.3)])
+@pytest.mark.parametrize("rows", [None, 5])
+def test_a_shared_feedback_update_is_the_bits_of_a_fresh_likelihood(channel, rows):
+    # bayes-fixed's update: Phi = 0 on a [0, pi] prior, each outcome's law
+    # built from the kept p(0); a block mixes outcomes within a step
+    rng = make_generator(27)
+    grid = PosteriorGrid.uniform(512, support=(0.0, math.pi), rows=rows)
+    span = grid._span
+    phis = grid.phis[span]
+    seen, mixed = set(), False
+    for step in range(8):
+        xs = rng.integers(0, 2, rows or 1)
+        want = np.atleast_2d(grid.weights).copy()
+        for w, x in zip(want, xs):
+            w[span] = w[span] * noisy_likelihood(channel, int(x), phis, 0.0)
+            w /= w.sum()
+        grid.update(xs if rows else int(xs[0]), 0.0, channel)
+        assert np.atleast_2d(grid.weights).tobytes() == want.tobytes()
+        seen.update(xs.tolist())
+        mixed |= 0 < xs.sum() < len(xs)
+    assert seen == {0, 1} and mixed == (rows is not None)
+
+
+@pytest.mark.parametrize("size", [2, 3, 6, 7, 1000, 1024, 2 ** 17])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_a_flat_prior_is_the_bits_of_normalised_constant_weights(size, rows):
+    # normalising moves 1/G for some G (6, 7 and 1000 here), so it must stay
+    shape = (size,) if rows is None else (rows, size)
+    grid = PosteriorGrid.uniform(size, rows=rows)
+    want = PosteriorGrid(np.full(shape, 1.0 / size))
+    assert grid.weights.tobytes() == want.weights.tobytes()
+    assert [(r.resultant(), r._summary) for r in grid.rows] == [
+        (r.resultant(), r._summary) for r in want.rows
+    ]
 
 
 def test_block_rows_are_their_own_grids():
@@ -678,12 +714,14 @@ def test_building_the_grid_arrays_takes_no_more_than_they_keep():
 @pytest.mark.parametrize("strategy", ["go", "pgh", "bayes-fixed"])
 def test_a_default_grid_run_memory_peak(strategy):
     # above the cached grid arrays: 1 MiB of weights and a 2 MiB complex
-    # scratch; casting the weights for the resultant took 1 MiB more. A
-    # small run first pays the one-off costs of a process's first run.
+    # scratch, and for bayes-fixed its kept half-grid p(0). Casting the
+    # weights for the resultant took 1 MiB more, as did a normalised copy
+    # of the flat prior beside it and a second kept likelihood. A small run
+    # first pays the one-off costs of a process's first run.
     posterior._grid_arrays(2 ** 17)
     run_estimation(1.0, 3, strategy, grid_size=64, seed=5)
     peak = _traced_peak(lambda: run_estimation(1.0, 3, strategy, grid_size=2 ** 17, seed=5))
-    assert peak < 4.5 * 2 ** 20
+    assert peak < (3.75 if strategy == "bayes-fixed" else 3.25) * 2 ** 20
 
 
 def test_dump_csv(tmp_path):
