@@ -38,8 +38,10 @@ from .rng import make_generator
 POLICY_LENGTH_SOFT_LIMIT = 50
 
 # fitness samples scored at once: a block of max(1, _BLOCK_SAMPLES // K)
-# swarm rows keeps its working arrays in cache
-_BLOCK_SAMPLES = 8192
+# swarm rows (16 at the default K = 1000) keeps its working arrays, 0.6-0.9
+# MiB, inside a 2 MiB L2 cache; 20 rows already break the 1.23 MiB peak
+# that the fitness memory test allows
+_BLOCK_SAMPLES = 16384
 
 
 @dataclass
@@ -138,15 +140,16 @@ def _sharpness(positions, channel, k_samples, rngs):
         # Phi_k = Phi_{k-1} - sign d_k with sign = (-1)^{x_{k-1}} and x_0 = 0
         sign.fill(1.0)
         for c, s in zip(cos_d, sin_d):
-            np.multiply(sign, s, out=turn)
-            # (re, im) <- (re c - im turn, im c + re turn); sign holds im turn
-            np.multiply(im, turn, out=sign)
-            turn *= re
+            # (re, im) <- (re c - im t, im c + re t) with t = sign s: sign
+            # holds t, then t re, and turn holds im t
+            sign *= s
+            np.multiply(im, sign, out=turn)
+            sign *= re
             re *= c
-            re -= sign
+            re -= turn
             im *= c
-            im += turn
-            # sign = 1 - 2 x_k, exactly +-1
+            im += sign
+            # x_k overwrites t re in sign; sign = 1 - 2 x_k, exactly +-1
             sample_outcomes(channel, re, im, block_rngs, draws, sign)
             sign *= -2.0
             sign += 1.0
