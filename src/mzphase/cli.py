@@ -409,6 +409,9 @@ def _add_options(parser, options):
 def build_parser(command=None):
     """The CLI parser. Given a subcommand name, only that subcommand gets
     its options: a command line that starts with it reaches no other.
+    Without one no subcommand gets any, since argparse rejects a command
+    line that starts with no subcommand, or prints the top-level help,
+    before it reads a subcommand's option.
 
     Built once per process and key, and shared by every later call (do
     not change it): argparse keeps no parse state on a parser, so main
@@ -421,7 +424,7 @@ def build_parser(command=None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func in _COMMANDS.items():
         subparser = sub.add_parser(name, help=func.__doc__)
-        if command in (None, name):
+        if name == command:
             _add_options(subparser, _OPTIONS[name])
     return parser
 

@@ -366,12 +366,14 @@ class PosteriorGrid:
         return float(self.phis[_cdf_index(weights, u, cdf)])
 
     def dump_csv(self, path):
-        """Write the snapshot as CSV with columns (phi, weight)."""
-        import csv
+        """Write the snapshot as CSV with columns (phi, weight).
 
+        The bytes of the csv module's default dialect: a float's repr
+        needs no quoting, and every line ends in \\r\\n. The rows are
+        formatted one at a time, so no copy of the grid is built.
+        """
         self._one_posterior()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phi", "weight"])
-            for phi, w in zip(self.phis, self._weights):
-                writer.writerow([repr(float(phi)), repr(float(w))])
+            fh.write("phi,weight\r\n")
+            rows = zip(map(float, self.phis), map(float, self._weights))
+            fh.writelines(f"{phi!r},{w!r}\r\n" for phi, w in rows)

@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: quadrature on
 dense grids, finite differences, and direct formula evaluation. Two
 exceptions: exact_go_sharpness enumerates the outcomes of go's feedback
-rule and so takes the rule's offset from the library, and
+rule and so takes the rule's offset from the library by default, and
 replay_summaries replays a run on a small PosteriorGrid, which is exact
 there.
 """
@@ -181,9 +181,12 @@ def pso_step_per_particle(particles, config, fitness, rng):
         particle.position = config.omega * particle.velocity + particle.position
 
 
-def exact_go_sharpness(n, sample_channel, model_channel=IDEAL, grid_size=None):
+def exact_go_sharpness(n, sample_channel, model_channel=IDEAL, grid_size=None,
+                       offset=feedback_offset):
     """Exact |E e^{i(phi - mu)}| of an n-probe go run with the alternate
-    sign, phi uniform, by enumerating its 2^n outcome sequences.
+    sign, phi uniform, by enumerating its 2^n outcome sequences. offset
+    maps a posterior's sigma to the signed feedback offset (go's rule by
+    default), so other rules can be scored on the same tree.
 
     go's first feedback is uniform and every later one a function of the
     outcomes, so by rotation covariance Phi_1 = 0 loses nothing. The tree
@@ -222,7 +225,7 @@ def exact_go_sharpness(n, sample_channel, model_channel=IDEAL, grid_size=None):
         if k > 1:
             sign = 1.0 if k % 2 == 0 else -1.0
             mu, sigma = means(model)
-            feedback = mu + sign * np.array([feedback_offset(s) for s in sigma])
+            feedback = mu + sign * np.array([offset(s) for s in sigma])
         fringe = np.cos(phis - feedback[:, None])
         model = children(model, model_channel)
         model /= model.sum(axis=1, keepdims=True)

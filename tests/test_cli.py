@@ -670,6 +670,39 @@ def test_the_shared_parsers_keep_no_state_between_calls(tmp_path, monkeypatch, c
     assert cli.build_parser("benchmark") is cli.build_parser("benchmark")
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_a_command_line_without_a_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(
+        "usage: mzphase [-h] {estimate,train-policy,benchmark,plot-data} ...\n"
+    )
+
+
+def test_top_level_help_lists_the_four_subcommands(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("positional arguments:") + 1
+    assert lines[start:start + 5] == [
+        "  {estimate,train-policy,benchmark,plot-data}",
+        "    estimate            run one estimation trajectory",
+        "    train-policy        train an offline feedback policy",
+        "    benchmark           batch statistics over phases and channels",
+        "    plot-data           reshape results into tidy CSV",
+    ]
+
+
+def test_the_parser_for_no_subcommand_builds_no_subcommand_options():
+    [sub] = [a for a in cli.build_parser(None)._actions if a.dest == "command"]
+    assert {name: [a.dest for a in p._actions] for name, p in sub.choices.items()} == {
+        name: ["help"] for name in cli._COMMANDS
+    }
+
+
 def test_plot_data_sql_rows_are_the_reference_curve(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     n = 60

@@ -260,6 +260,32 @@ def test_exact_go_sharpness_is_at_most_the_optimal_ideal_sharpness():
             assert exact == pytest.approx(bound, abs=1e-12)
 
 
+def _minus_half_pi(sigma):
+    return -math.pi / 2
+
+
+def _minus_half_pi_when_wide(sigma):
+    return -math.pi / 2 if sigma > SIGMA_VALID_MAX else feedback_offset(sigma)
+
+
+@pytest.mark.parametrize(
+    "offset, sigmas",
+    [
+        (feedback_offset, (0.9073, 0.5870, 0.4547)),  # closed form, real-part fallback
+        (_minus_half_pi_when_wide, (0.6504, 0.4243, 0.3239)),
+        (_minus_half_pi, (0.6220, 0.4146, 0.3260)),
+    ],
+    ids=["closed-form", "minus-half-pi-when-wide", "minus-half-pi"],
+)
+def test_exact_go_sigma_under_each_offset_rule(offset, sigmas):
+    # sigma = sqrt(S^-2 - 1) of the exact ideal-channel sharpness S, above
+    # the floor that the canonical measurement sets at each n
+    for n, want in zip((4, 8, 12), sigmas):
+        sigma = math.sqrt(exact_go_sharpness(n, IDEAL, offset=offset) ** -2 - 1.0)
+        assert sigma == pytest.approx(want, abs=1e-4), n
+        assert sigma > math.sqrt(optimal_ideal_sharpness(n) ** -2 - 1.0), n
+
+
 @pytest.mark.parametrize("channel", CHANNELS, ids=lambda c: c.kind)
 def test_go_batches_match_the_exact_sharpness(channel):
     n, phases, m = 10, 6, 1000

@@ -1,3 +1,4 @@
+import csv
 import gc
 import math
 import os
@@ -734,3 +735,39 @@ def test_dump_csv(tmp_path):
     phi0, w0 = lines[1].split(",")
     assert float(phi0) == 0.0
     assert float(w0) == 0.125
+
+
+def _csv_module_dump(grid, path):
+    # the csv module's default dialect: the reference for dump_csv's bytes
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["phi", "weight"])
+        for phi, w in zip(grid.phis, grid.weights):
+            writer.writerow([repr(float(phi)), repr(float(w))])
+
+
+def _last_posterior(strategy, grid_size, n=20):
+    grids = {}
+    run_estimation(1.0, n, strategy, grid_size=grid_size, seed=7,
+                   snapshot=lambda k, grid: grids.update(last=grid))
+    return grids["last"]
+
+
+@pytest.mark.parametrize("strategy, grid_size", [("go", 2 ** 17), ("bayes-fixed", 2 ** 17), ("go", 3)])
+def test_dump_csv_writes_the_bytes_of_the_csv_module(strategy, grid_size, tmp_path):
+    grid = _last_posterior(strategy, grid_size)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    grid.dump_csv(got)
+    _csv_module_dump(grid, want)
+    assert got.read_bytes() == want.read_bytes()
+    if strategy == "bayes-fixed":  # the truncated prior's exact +0.0 outside [0, pi]
+        outside = grid.weights[grid.phis > math.pi]
+        assert outside.size and not outside.any() and not np.signbit(outside).any()
+        assert got.read_bytes().endswith(b",0.0\r\n")
+
+
+def test_dump_csv_builds_no_copy_of_the_grid(tmp_path):
+    # a list of the 2^17 rows' floats alone would take about 8 MiB
+    grid = _last_posterior("go", 2 ** 17, n=3)
+    path = tmp_path / "posterior.csv"
+    assert _traced_peak(lambda: grid.dump_csv(path)) < 2 ** 20
