@@ -13,7 +13,10 @@ configuration, including the seed (drawn and recorded when not
 supplied), and that file can be fed back via --config to reproduce the
 outputs byte for byte. All outputs stay inside the --out directory.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+A command returns nothing when it succeeds and raises when it fails;
+only ``main`` maps the outcome to an exit code: 0 success, 2
+configuration error (``ConfigError``), 3 runtime error (any other
+exception, printed as one ``runtime error: `` line on stderr).
 """
 
 import argparse
@@ -246,8 +249,9 @@ def _out_path(opts, *parts):
 
 
 # ------------------------------------------------------------------
-# commands: each takes the checked values of its options and returns an
-# exit code; main loads the options and writes meta.json
+# commands: each takes the checked values of its options, writes its
+# outputs and raises on failure; main loads the options, writes meta.json
+# and maps the outcome to an exit code
 
 def cmd_estimate(opts):
     """run one estimation trajectory"""
@@ -273,7 +277,6 @@ def cmd_estimate(opts):
         f"estimate: phi_est={record.final_estimate:.6f} "
         f"sigma_est={sigma_text} (n={n}, strategy={record.strategy})"
     )
-    return 0
 
 
 def cmd_train_policy(opts):
@@ -294,7 +297,6 @@ def cmd_train_policy(opts):
         f"trained policy n={n}: sharpness={policy.sharpness:.6f} "
         f"holevo_variance={holevo:.6f} -> {path}"
     )
-    return 0
 
 
 def cmd_benchmark(opts):
@@ -320,10 +322,13 @@ def cmd_benchmark(opts):
     write_batch_csv(_out_path(opts, "benchmark.csv"), rows)
     write_batch_csv(_out_path(opts, "summary.csv"), summary)
     print(f"benchmark: {len(rows)} rows -> {_out_path(opts, 'benchmark.csv')}")
-    return 0
 
 
-def _plot_rows_from_run(payload, figure_id):
+def _plot_rows_from_run(path, figure_id):
+    with open(path) as fh:
+        payload = json.load(fh)
+    if "steps" not in payload:
+        raise ValueError(f"{path}: not a run record")
     strategy = payload["strategy"]
     rows = []
     for step in payload["steps"]:
@@ -362,27 +367,18 @@ def cmd_plot_data(opts):
 
     rows = []
     for path in inputs:
+        read = _plot_rows_from_run if path.endswith(".json") else _plot_rows_from_batch
         try:
-            if path.endswith(".json"):
-                with open(path) as fh:
-                    payload = json.load(fh)
-                if "steps" not in payload:
-                    raise ValueError(f"{path}: not a run record")
-                rows.extend(_plot_rows_from_run(payload, figure_id))
-            else:
-                rows.extend(_plot_rows_from_batch(path, figure_id))
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            print(f"plot-data: malformed input {path}: {exc}", file=sys.stderr)
-            return 3
+            rows.extend(read(path, figure_id))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise RuntimeError(f"plot-data: malformed input {path}: {exc}") from exc
 
     out_csv = _out_path(opts, "plotdata.csv")
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["figure_id", "series", "x", "y", "yerr"])
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"plot-data: {len(rows)} rows -> {out_csv}")
-    return 0
 
 
 # ------------------------------------------------------------------
@@ -443,18 +439,18 @@ def main(argv=None):
     args = build_parser(command).parse_args(argv)
     try:
         config, opts = _load_config(args.command, args)
-        status = _COMMANDS[args.command](opts)
-        if status == 0:  # echo the resolved configuration, reusable via --config
-            with open(_out_path(opts, "meta.json"), "w") as fh:
-                json.dump(config, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return status
+        _COMMANDS[args.command](opts)
+        # echo the resolved configuration, reusable via --config
+        with open(_out_path(opts, "meta.json"), "w") as fh:
+            json.dump(config, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures map to exit 3
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

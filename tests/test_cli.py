@@ -353,19 +353,26 @@ def test_plot_data_empty_inputs_is_config_error(tmp_path):
     assert result.returncode == 2, result.stderr
 
 
-@pytest.mark.parametrize("text", [
-    "{not json",
-    "5",  # valid JSON that is not an object
-    '{"steps": [[1, 2]], "strategy": "go"}',  # steps that are not objects
-], ids=["not-json", "not-an-object", "steps-not-objects"])
-def test_plot_data_malformed_input_is_runtime_error(tmp_path, text):
-    (tmp_path / "broken.json").write_text(text)
+@pytest.mark.parametrize("name, text", [
+    ("broken.json", "{not json"),
+    ("broken.json", "5"),  # valid JSON that is not an object
+    ("broken.json", '{"steps": [[1, 2]], "strategy": "go"}'),  # steps that are not objects
+    ("absent.json", None),  # no such file
+    ("broken.csv", "strategy,phi_true\ngo,1.0\n"),  # a CSV without a sigma_est column
+], ids=[
+    "not-json", "not-an-object", "steps-not-objects", "missing-file", "csv-without-sigma-est",
+])
+def test_plot_data_malformed_input_is_runtime_error(tmp_path, name, text):
+    if text is not None:
+        (tmp_path / name).write_text(text)
     result = run_cli(
-        "plot-data", "--inputs", "broken.json", "--figure-id", "f",
+        "plot-data", "--inputs", name, "--figure-id", "f",
         "--out", "plot", cwd=tmp_path,
     )
     assert result.returncode == 3, result.stderr
-    assert "plot-data: malformed input broken.json" in result.stderr
+    # one failure path: the message carries main's exit-3 prefix
+    prefix = f"runtime error: plot-data: malformed input {name}"
+    assert result.stderr.startswith(prefix), result.stderr
     # a failed command leaves no plotdata.csv and no meta.json
     out = tmp_path / "plot"
     assert not (out / "plotdata.csv").exists()

@@ -268,20 +268,36 @@ def _minus_half_pi_when_wide(sigma):
     return -math.pi / 2 if sigma > SIGMA_VALID_MAX else feedback_offset(sigma)
 
 
+_DEP = NoiseChannel.depolarizing(0.1)
+
+
 @pytest.mark.parametrize(
-    "offset, sigmas",
+    "offset, sample, model, sigmas",
     [
-        (feedback_offset, (0.9073, 0.5870, 0.4547)),  # closed form, real-part fallback
-        (_minus_half_pi_when_wide, (0.6504, 0.4243, 0.3239)),
-        (_minus_half_pi, (0.6220, 0.4146, 0.3260)),
+        # the closed form with its real-part fallback
+        (feedback_offset, IDEAL, IDEAL, (0.9073, 0.5870, 0.4547)),
+        (_minus_half_pi_when_wide, IDEAL, IDEAL, (0.6504, 0.4243, 0.3239)),
+        (_minus_half_pi, IDEAL, IDEAL, (0.6220, 0.4146, 0.3260)),
+        # at n = 4 and 8 the noise-aware closed form is worse than the noise-unaware one
+        (feedback_offset, _DEP, IDEAL, (1.0795, 0.7176, 0.5535)),
+        (feedback_offset, _DEP, _DEP, (1.2011, 0.7445, 0.5261)),
+        (_minus_half_pi_when_wide, _DEP, IDEAL, (0.8269, 0.5469, 0.4181)),
+        (_minus_half_pi_when_wide, _DEP, _DEP, (0.7839, 0.5428, 0.4081)),
+        (_minus_half_pi, _DEP, IDEAL, (0.7864, 0.5255, 0.4154)),
+        (_minus_half_pi, _DEP, _DEP, (0.7839, 0.5129, 0.3986)),
     ],
-    ids=["closed-form", "minus-half-pi-when-wide", "minus-half-pi"],
+    ids=[
+        "closed-form", "minus-half-pi-when-wide", "minus-half-pi",
+        "closed-form-dep-ideal-model", "closed-form-dep-aware-model",
+        "minus-half-pi-when-wide-dep-ideal-model", "minus-half-pi-when-wide-dep-aware-model",
+        "minus-half-pi-dep-ideal-model", "minus-half-pi-dep-aware-model",
+    ],
 )
-def test_exact_go_sigma_under_each_offset_rule(offset, sigmas):
-    # sigma = sqrt(S^-2 - 1) of the exact ideal-channel sharpness S, above
-    # the floor that the canonical measurement sets at each n
+def test_exact_go_sigma_under_each_offset_rule(offset, sample, model, sigmas):
+    # sigma = sqrt(S^-2 - 1) of the exact sharpness S, above the floor that
+    # the canonical measurement sets at each n on the ideal channel
     for n, want in zip((4, 8, 12), sigmas):
-        sigma = math.sqrt(exact_go_sharpness(n, IDEAL, offset=offset) ** -2 - 1.0)
+        sigma = math.sqrt(exact_go_sharpness(n, sample, model, offset=offset) ** -2 - 1.0)
         assert sigma == pytest.approx(want, abs=1e-4), n
         assert sigma > math.sqrt(optimal_ideal_sharpness(n) ** -2 - 1.0), n
 
