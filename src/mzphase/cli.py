@@ -348,15 +348,12 @@ def _plot_rows_from_batch(path, figure_id):
         if reader.fieldnames is None or "sigma_est" not in reader.fieldnames:
             raise ValueError(f"{path}: not a benchmark CSV")
         for line in reader:
-            if not line.get("phi_true"):
-                continue
-            series = f"{line['strategy']}:{line.get('channel', 'ideal')}"
-            x = line["phi_true"]
+            # x is the phase, or n for a summary.csv row (averaged over phases)
+            x = line["phi_true"] or line["n"]
+            series = f"{line['strategy']}:{line['channel']}"
             rows.append((figure_id, series, x, line["sigma_est"], line["err_sigma"]))
-            if line.get("sql"):
-                rows.append((figure_id, "sql", x, line["sql"], ""))
-            if line.get("crb"):
-                rows.append((figure_id, "crb", x, line["crb"], ""))
+            rows.append((figure_id, "sql", x, line["sql"], ""))
+            rows.append((figure_id, "crb", x, line["crb"], ""))
     return rows
 
 

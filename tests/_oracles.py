@@ -294,6 +294,19 @@ def exact_policy_resultant(deltas, phi, channel):
     return complex(value)
 
 
+def exact_policy_sharpness(deltas, channel):
+    """Exact phase-averaged |E e^{i(phi - Phi_n)}| of the n = len(deltas)
+    step policy: the mean of e^{i phi} conj(exact_policy_resultant) over
+    n + 3 equispaced phases. The integrand is a trigonometric polynomial
+    of degree <= n + 1 in phi, so that mean is its exact phase average."""
+    count = len(deltas) + 3
+    phis = np.arange(count) * (2.0 * math.pi / count)
+    return abs(sum(
+        cmath.exp(1j * phi) * exact_policy_resultant(deltas, phi, channel).conjugate()
+        for phi in phis
+    )) / count
+
+
 def optimal_ideal_sharpness(n):
     """S_n = 2^{-n} sum_k sqrt(C(n, k) C(n, k + 1)): the largest phase-averaged
     |E e^{i(est - phi)}| that any estimate from n single-photon probes

@@ -348,6 +348,33 @@ def test_plot_data_from_run_and_batch(tmp_path):
     assert [row["x"] for row in sigma_rows] == ["1", "2", "3", "4", "5"]
 
 
+def test_plot_data_from_summaries_plots_sigma_against_n(tmp_path, monkeypatch):
+    # a summary.csv row averages over phases, so its point sits at x = n
+    monkeypatch.chdir(tmp_path)
+    ns = (4, 8, 16)
+    want = []
+    for n in ns:
+        assert cli.main([
+            "benchmark", "--strategies", "go,inversion", "--channels", "ideal,depolarizing:0.1",
+            "--n", str(n), "--m", "3", "--phases", "2", "--grid-size", "128", "--seed", "3",
+            "--out", f"bench{n}",
+        ]) == 0
+        with open(tmp_path / f"bench{n}" / "summary.csv", newline="") as fh:
+            want.extend((f"{line['strategy']}:{line['channel']}", str(n),
+                         line["sigma_est"], line["err_sigma"]) for line in csv.DictReader(fh))
+    assert len(want) == 12  # 2 strategies x 2 channels x 3 n
+    assert cli.main(["plot-data", "--inputs", *(f"bench{n}/summary.csv" for n in ns),
+                     "--figure-id", "sigma-vs-n", "--out", "plot"]) == 0
+    with open(tmp_path / "plot" / "plotdata.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    points = [(row["series"], row["x"], row["y"], row["yerr"])
+              for row in rows if row["series"] not in ("sql", "crb")]
+    assert points == want
+    for n in ns:
+        sql = {row["y"] for row in rows if row["series"] == "sql" and row["x"] == str(n)}
+        assert sql == {repr(mzphase.precision_bound(mzphase.IDEAL, n))}
+
+
 def test_plot_data_empty_inputs_is_config_error(tmp_path):
     result = run_cli("plot-data", "--figure-id", "f", "--out", "plot", cwd=tmp_path)
     assert result.returncode == 2, result.stderr
@@ -359,8 +386,11 @@ def test_plot_data_empty_inputs_is_config_error(tmp_path):
     ("broken.json", '{"steps": [[1, 2]], "strategy": "go"}'),  # steps that are not objects
     ("absent.json", None),  # no such file
     ("broken.csv", "strategy,phi_true\ngo,1.0\n"),  # a CSV without a sigma_est column
+    # a CSV without a channel column, one that benchmark always writes
+    ("broken.csv", "strategy,phi_true,n,sigma_est,err_sigma,sql,crb\ngo,1.0,4,0.5,0.1,0.5,0.5\n"),
 ], ids=[
     "not-json", "not-an-object", "steps-not-objects", "missing-file", "csv-without-sigma-est",
+    "csv-without-channel",
 ])
 def test_plot_data_malformed_input_is_runtime_error(tmp_path, name, text):
     if text is not None:

@@ -269,6 +269,7 @@ def _minus_half_pi_when_wide(sigma):
 
 
 _DEP = NoiseChannel.depolarizing(0.1)
+_PHASE = NoiseChannel.phase(0.3)  # v = 0.9560
 
 
 @pytest.mark.parametrize(
@@ -285,12 +286,22 @@ _DEP = NoiseChannel.depolarizing(0.1)
         (_minus_half_pi_when_wide, _DEP, _DEP, (0.7839, 0.5428, 0.4081)),
         (_minus_half_pi, _DEP, IDEAL, (0.7864, 0.5255, 0.4154)),
         (_minus_half_pi, _DEP, _DEP, (0.7839, 0.5129, 0.3986)),
+        # under phase noise too, and either -pi/2 rule beats the closed form at every n
+        (feedback_offset, _PHASE, IDEAL, (0.9799, 0.6424, 0.4957)),
+        (feedback_offset, _PHASE, _PHASE, (1.0341, 0.6466, 0.4919)),
+        (_minus_half_pi_when_wide, _PHASE, IDEAL, (0.7261, 0.4757, 0.3622)),
+        (_minus_half_pi_when_wide, _PHASE, _PHASE, (0.7453, 0.4803, 0.3612)),
+        (_minus_half_pi, _PHASE, IDEAL, (0.6921, 0.4599, 0.3618)),
+        (_minus_half_pi, _PHASE, _PHASE, (0.6915, 0.4558, 0.3563)),
     ],
     ids=[
         "closed-form", "minus-half-pi-when-wide", "minus-half-pi",
         "closed-form-dep-ideal-model", "closed-form-dep-aware-model",
         "minus-half-pi-when-wide-dep-ideal-model", "minus-half-pi-when-wide-dep-aware-model",
         "minus-half-pi-dep-ideal-model", "minus-half-pi-dep-aware-model",
+        "closed-form-phase-ideal-model", "closed-form-phase-aware-model",
+        "minus-half-pi-when-wide-phase-ideal-model", "minus-half-pi-when-wide-phase-aware-model",
+        "minus-half-pi-phase-ideal-model", "minus-half-pi-phase-aware-model",
     ],
 )
 def test_exact_go_sigma_under_each_offset_rule(offset, sample, model, sigmas):

@@ -22,7 +22,14 @@ from mzphase import (
 )
 from mzphase.pso import _sharpness
 
-from _oracles import exact_policy_resultant, policy_sharpness_by_angles, pso_step_per_particle
+from _oracles import (
+    exact_go_sharpness,
+    exact_policy_resultant,
+    exact_policy_sharpness,
+    optimal_ideal_sharpness,
+    policy_sharpness_by_angles,
+    pso_step_per_particle,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -446,3 +453,18 @@ def test_policy_batches_match_the_exact_resultant(channel, phi):
     for part, value in ((z.real, want.real), (z.imag, want.imag)):
         se = part.std(ddof=1) / math.sqrt(m)
         assert abs(part.mean() - value) < 4.0 * se, (part.mean(), value, se)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_default_trained_policy_ranks_between_the_floor_and_go(n):
+    # the paper's low-N ranking on the ideal channel, scored exactly: the
+    # canonical floor < the default-trained policy < go with its default
+    # real-part fallback (sigma 0.5871 < 0.7490 < 0.9073 at n = 4 and
+    # 0.3711 < 0.4581 < 0.5870 at n = 8)
+    policy = train_policy(n, IDEAL, PsoConfig(seed=0))
+    floor, trained, go = (
+        math.sqrt(s ** -2 - 1.0)
+        for s in (optimal_ideal_sharpness(n), exact_policy_sharpness(policy.deltas, IDEAL),
+                  exact_go_sharpness(n, IDEAL))
+    )
+    assert floor < trained < go
